@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
     if (ratio < 0.5 && ratio > 0) verdict = "anti-motif";
     std::string edges;
     for (auto [u, v] : real.trees[i].edges()) {
-      edges += (edges.empty() ? "" : " ") + std::to_string(u) + "-" +
-               std::to_string(v);
+      if (!edges.empty()) edges += ' ';
+      edges += std::to_string(u) + "-" + std::to_string(v);
     }
     table.add_row({TablePrinter::num(static_cast<long long>(i + 1)), edges,
                    TablePrinter::num(static_cast<long long>(

@@ -20,16 +20,6 @@ const char* parallel_mode_name(ParallelMode mode) noexcept {
   return "?";
 }
 
-const char* kernel_family_name(KernelFamily family) noexcept {
-  switch (family) {
-    case KernelFamily::kFrontier:
-      return "frontier";
-    case KernelFamily::kSpmm:
-      return "spmm";
-  }
-  return "?";
-}
-
 void CountOptions::validate() const {
   if (execution.threads < 0) {
     throw usage_error("execution.threads must be >= 0 (0 = runtime default), got " +
@@ -52,16 +42,10 @@ void CountOptions::validate() const {
                       ") exceeds execution.threads (" +
                       std::to_string(execution.threads) + ")");
   }
-  if (execution.reference_kernels &&
-      execution.kernel_family == KernelFamily::kSpmm) {
-    throw usage_error(
-        "execution.reference_kernels and KernelFamily::kSpmm are mutually "
-        "exclusive (the reference path has no SpMM form; pick one)");
-  }
   if (execution.incremental) {
     if (execution.reference_kernels) {
       throw usage_error(
-          "execution.incremental requires the frontier/SpMM kernels; "
+          "execution.incremental requires the frontier kernels; "
           "reference_kernels retain no frontiers to recount from");
     }
     if (execution.mode == ParallelMode::kOuterLoop ||

@@ -13,6 +13,7 @@
 #include "comb/binomial.hpp"
 #include "core/coloring.hpp"
 #include "core/engine.hpp"
+#include "core/run_metrics.hpp"
 #include "core/thread_layout.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
@@ -39,29 +40,11 @@ namespace {
 using detail::iteration_seed;
 using detail::random_coloring;
 using detail::random_coloring_permuted;
-
-// ---- registry instruments (DESIGN.md §10) -------------------------------
-
-const obs::Metric& colorings_metric() {
-  static const obs::Metric m("count.colorings",
-                             obs::InstrumentKind::kCounter);
-  return m;
-}
-const obs::Metric& iteration_seconds_metric() {
-  static const obs::Metric m("run.iteration.seconds",
-                             obs::InstrumentKind::kTimeHistogram);
-  return m;
-}
-const obs::Metric& run_seconds_metric() {
-  static const obs::Metric m("run.seconds",
-                             obs::InstrumentKind::kTimeHistogram);
-  return m;
-}
-const obs::Metric& peak_bytes_metric() {
-  static const obs::Metric m("run.peak_table_bytes",
-                             obs::InstrumentKind::kGauge);
-  return m;
-}
+using detail::colorings_metric;
+using detail::iteration_seconds_metric;
+using detail::peak_bytes_metric;
+using detail::resolve_threads;
+using detail::run_seconds_metric;
 
 /// out[map[i]] = src[i]: scatters a vertex-indexed array through a
 /// permutation direction.  With map = to_old this converts reordered
@@ -75,15 +58,6 @@ std::vector<double> scatter_vertex_values(const std::vector<double>& src,
     out[static_cast<std::size_t>(map[i])] = src[i];
   }
   return out;
-}
-
-int resolve_threads(int requested) {
-#ifdef _OPENMP
-  return requested > 0 ? requested : omp_get_max_threads();
-#else
-  (void)requested;
-  return 1;
-#endif
 }
 
 void validate(const Graph& graph, const TreeTemplate& tmpl,
@@ -147,19 +121,10 @@ ResilientSetup resolve_setup(const Graph& graph, const TreeTemplate& tmpl,
         options.execution.mode == ParallelMode::kInnerLoop
             ? resolve_threads(options.execution.threads)
             : 1;
-    // The SpMM family carries its dense multivector per engine copy;
-    // price it into the plan so the ladder degrades before the run
-    // overshoots the budget at the first eligible stage.
-    const std::size_t spmm_bytes =
-        options.execution.kernel_family == KernelFamily::kSpmm
-            ? run::estimate_spmm_multivector_bytes(
-                  partition, k, graph.num_vertices(), graph.has_labels())
-            : 0;
     const run::MemoryPlan plan = run::plan_memory(
         partition, k, graph.num_vertices(), graph.has_labels(),
         options.execution.table, copies, options.run.memory_budget_bytes,
-        threads_per_copy, /*spill_available=*/!options.run.spill_dir.empty(),
-        spmm_bytes);
+        threads_per_copy, /*spill_available=*/!options.run.spill_dir.empty());
     setup.table = plan.table;
     setup.engine_copies = plan.engine_copies;
     setup.spill = plan.spill;
@@ -171,9 +136,8 @@ ResilientSetup resolve_setup(const Graph& graph, const TreeTemplate& tmpl,
 
   // Everything the per-iteration estimates depend on, so a checkpoint
   // from a different configuration is rejected instead of silently
-  // blended.  The effective (post-ladder) table kind participates:
-  // layouts sum in different orders, so mixing them would break the
-  // bit-identical-resume guarantee.
+  // blended.  The effective (post-ladder) table kind participates
+  // too, so a checkpoint never blends values from different layouts.
   std::uint64_t fp = run::kFingerprintSeed;
   fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindCount});
   fp = run::fingerprint_mix(fp, tmpl.describe());
@@ -222,8 +186,6 @@ std::shared_ptr<const obs::RunReport> build_report(
        std::to_string(options.execution.outer_copies)},
       {"execution.reference_kernels",
        format_bool(options.execution.reference_kernels)},
-      {"execution.kernel_family",
-       kernel_family_name(options.execution.kernel_family)},
       {"root", std::to_string(options.root)},
       {"per_vertex", format_bool(options.per_vertex)},
   };
@@ -480,8 +442,6 @@ CountResult run_count(const Graph& graph, const TreeTemplate& tmpl,
   // instead of once per thread.
   DpEngineOptions engine_opts;
   engine_opts.reference_kernels = options.execution.reference_kernels;
-  engine_opts.spmm_kernels =
-      options.execution.kernel_family == KernelFamily::kSpmm;
   engine_opts.collect_stats = collect_stages;
   if (graph.has_labels()) {
     engine_opts.label_frontiers = LabelFrontiers::build(graph);
@@ -584,10 +544,6 @@ CountResult run_count(const Graph& graph, const TreeTemplate& tmpl,
       inputs.table_bytes_per_copy = run::estimate_peak_bytes(
           partition, k, graph.num_vertices(), setup.table,
           graph.has_labels());
-      if (engine_opts.spmm_kernels) {
-        inputs.spmm_bytes_per_copy = run::estimate_spmm_multivector_bytes(
-            partition, k, graph.num_vertices(), graph.has_labels());
-      }
       inputs.memory_budget_bytes = controls.memory_budget_bytes;
       inputs.forced_outer_copies = options.execution.outer_copies;
       layout = choose_layout(inputs);

@@ -56,7 +56,6 @@
 
 #include "comb/binomial.hpp"
 #include "comb/split_table.hpp"
-#include "core/spmm_kernels.hpp"
 #include "dp/count_table.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
@@ -158,15 +157,6 @@ struct DpEngineOptions {
   /// ones.  Test/bench hook: estimates are identical either way.
   bool reference_kernels = false;
 
-  /// Run the linear-algebra kernel family (core/spmm_kernels.hpp,
-  /// DESIGN.md §13): eligible stages export the passive child's table
-  /// as a column-blocked dense multivector and run a masked SpMM over
-  /// the stage frontier instead of per-edge row gathers.  Stages where
-  /// the export cannot amortize fall back to the frontier kernels per
-  /// stage (the two families are bit-identical, so mixing is safe).
-  /// Ignored under reference_kernels.
-  bool spmm_kernels = false;
-
   /// Record one DpStageStats entry per computed node pass.
   bool collect_stats = false;
 
@@ -206,8 +196,7 @@ struct DpStageStats {
   int node = 0;
   int parent_size = 0;
   int active_size = 0;
-  char kernel = '?';             ///< 'P'air, 'A'=single-active, 'S'=single-passive, 'G'eneral;
-                                 ///< lowercase 'a'/'g' = the SpMM forms
+  char kernel = '?';             ///< 'P'air, 'A'=single-active, 'S'=single-passive, 'G'eneral
   double seconds = 0.0;
   std::uint64_t candidates = 0;  ///< vertices iterated by the pass
   std::uint64_t survivors = 0;   ///< nonzero rows committed (frontier out)
@@ -225,10 +214,6 @@ inline const char* dp_kernel_name(char kernel) noexcept {
       return "single_passive";
     case 'G':
       return "general";
-    case 'a':
-      return "single_active_spmm";
-    case 'g':
-      return "general_spmm";
   }
   return "unknown";
 }
@@ -281,10 +266,6 @@ inline void record_stage_metrics(char kernel, double seconds,
   static const Metric passive("dp.stage.single_passive",
                               InstrumentKind::kCounter);
   static const Metric general("dp.stage.general", InstrumentKind::kCounter);
-  static const Metric active_spmm("dp.stage.single_active_spmm",
-                                  InstrumentKind::kCounter);
-  static const Metric general_spmm("dp.stage.general_spmm",
-                                   InstrumentKind::kCounter);
   static const Metric stage_seconds("dp.stage.seconds",
                                     InstrumentKind::kTimeHistogram);
   static const Metric occupancy("dp.frontier.occupancy",
@@ -299,12 +280,6 @@ inline void record_stage_metrics(char kernel, double seconds,
       break;
     case 'S':
       passive.add();
-      break;
-    case 'a':
-      active_spmm.add();
-      break;
-    case 'g':
-      general_spmm.add();
       break;
     default:
       general.add();
@@ -486,7 +461,7 @@ class DpEngine {
   /// (restoring it first if it was paged out).
   [[nodiscard]] double node_total(int node) {
     ensure_resident(node);
-    return tables_[static_cast<std::size_t>(node)]->total();
+    return table_total(*tables_[static_cast<std::size_t>(node)]);
   }
 
   /// Count of graph vertices matching a leaf node's label filter — the
@@ -534,7 +509,7 @@ class DpEngine {
         (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
       }
     }
-    const double total = table.total();
+    const double total = table_total(table);
     if (!keep_tables) release_all_tables();
     return total;
   }
@@ -763,7 +738,7 @@ class DpEngine {
         (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
       }
     }
-    return table.total();
+    return table_total(table);
   }
 
   [[nodiscard]] const PartitionTree& partition() const noexcept {
@@ -795,13 +770,6 @@ class DpEngine {
     return spilled_bytes_;
   }
   [[nodiscard]] int spill_events() const noexcept { return spill_events_; }
-
-  /// Largest SpMM multivector export held at once (slabs + vertex
-  /// remap) since construction; 0 unless spmm_kernels stages ran.
-  /// The measured side of run::estimate_spmm_multivector_bytes.
-  [[nodiscard]] std::size_t spmm_workspace_bytes() const noexcept {
-    return spmm_peak_bytes_;
-  }
 
   ~DpEngine() { release_all_tables(); }  // drops any leftover page files
   DpEngine(DpEngine&&) noexcept = default;
@@ -962,19 +930,6 @@ class DpEngine {
     stat.parent_size = h;
     stat.active_size = a;
     stat.kernel = h == 2 ? 'P' : a == 1 ? 'A' : p == 1 ? 'S' : 'G';
-    // SpMM family (DESIGN.md §13): only the two table-reading stage
-    // shapes have an SpMM form — pair and single-passive stages are
-    // already leaf-diagonal scalings and are shared between families.
-    // Each eligible stage is cost-gated individually; an unprofitable
-    // export falls back to the frontier kernel (bit-identical).
-    const bool spmm_on = opts_.spmm_kernels && !opts_.reference_kernels;
-    if (spmm_on && stat.kernel == 'A' &&
-        spmm_profitable_single_active(index, node)) {
-      stat.kernel = 'a';
-    } else if (spmm_on && stat.kernel == 'G' &&
-               spmm_profitable_general(node)) {
-      stat.kernel = 'g';
-    }
     const bool obs_on = obs::enabled();
     WallClock clock(opts_.collect_stats || obs_on);
     // Span detail carries what the fixed args cannot: the table layout
@@ -1004,9 +959,6 @@ class DpEngine {
     } else if (a == 1) {
       if (opts_.reference_kernels) {
         kernel_single_active_reference(*table, node, colors, parallel);
-      } else if (stat.kernel == 'a') {
-        kernel_single_active_spmm(*table, index, node, colors, parallel,
-                                  frontier_sink, stat);
       } else {
         kernel_single_active(*table, index, node, colors, parallel,
                              frontier_sink, stat);
@@ -1021,9 +973,6 @@ class DpEngine {
     } else {
       if (opts_.reference_kernels) {
         kernel_general_reference(*table, node, colors, parallel);
-      } else if (stat.kernel == 'g') {
-        kernel_general_spmm(*table, index, node, colors, parallel,
-                            frontier_sink, stat);
       } else {
         kernel_general(*table, index, node, colors, parallel, frontier_sink,
                        stat);
@@ -1614,227 +1563,6 @@ class DpEngine {
         });
   }
 
-  // ---- SpMM kernel family (core/spmm_kernels.hpp, DESIGN.md §13) --------
-  // The stage gather recast as a masked CSR SpMM: the passive child's
-  // table is exported once per stage as a column-blocked dense
-  // multivector over its frontier, the per-vertex neighbor fold
-  // becomes branchless blocked dense adds through the vertex → row
-  // remap (absent rows hit a shared zero row), and the product folds
-  // back through the same split tables.  Per-column accumulation runs
-  // in neighbor order and zero rows add exact zeros, so committed
-  // values match the frontier kernels bit for bit.
-
-  /// Total degree over a candidate list (nullptr = all vertices).
-  [[nodiscard]] std::size_t frontier_degree_sum(
-      const std::vector<VertexId>* list) const noexcept {
-    if (list == nullptr) {
-      return 2 * static_cast<std::size_t>(graph_.num_edges());
-    }
-    std::size_t sum = 0;
-    for (const VertexId v : *list) sum += graph_.neighbors(v).size();
-    return sum;
-  }
-
-  // Per-layout profitability model (bench/micro_dp measures it): the
-  // export costs ~fp x width row reads, the savings are whatever the
-  // frontier kernel pays per EDGE that the dense slab adds do not.
-  //   hash      — per-edge keyed probes per colorset; export amortizes
-  //               whenever neighbors outnumber frontier rows.
-  //   naive     — per-edge row gathers stride the full n-row table;
-  //               L2-resident slabs win across the board.
-  //   compact   — per-edge row borrow is already one contiguous read,
-  //               so only the slab-blocking win remains; it shrinks
-  //               with width while the export grows with it.
-  //   succinct  — the a == 1 kernel folds via add_row_into (one
-  //               decode-and-add sweep per edge, no cheaper read
-  //               exists), and the general kernel's per-edge decode
-  //               only loses to the export at small widths.
-
-  /// Cost gate for the a == 1 SpMM form.  Compact and succinct never
-  /// take it: their per-edge accumulate is a single contiguous sweep
-  /// already, so the export is pure overhead.
-  [[nodiscard]] bool spmm_profitable_single_active(
-      int /*index*/, const Subtemplate& node) const noexcept {
-    const auto& passive_frontier =
-        frontiers_[static_cast<std::size_t>(node.passive)];
-    const std::size_t fp = passive_frontier.size();
-    if (fp == 0) return false;
-    // Delta passes sweep only the dirty candidates: price the export
-    // against that restricted edge work, not the full frontier's.
-    const std::size_t deg_sum = frontier_degree_sum(
-        delta_restrict_ != nullptr
-            ? delta_restrict_
-            : leaf_frontier(partition_.node(node.active)));
-    if constexpr (Table::kDenseRows) {
-      return deg_sum >= 2 * fp;  // naive
-    } else if constexpr (Table::kContiguousRows ||
-                         DecodableRowTable<Table>) {
-      return false;  // compact / succinct
-    } else {
-      return deg_sum >= 2 * fp;  // hash
-    }
-  }
-
-  /// Cost gate for the general SpMM form: the fold-side FLOPs are the
-  /// same either way, so the export must amortize against the per-edge
-  /// read cost — probe sweeps (hash), scattered full-table gathers
-  /// (naive), or, for compact/succinct, only while the passive width
-  /// keeps the export volume below the edge work.
-  [[nodiscard]] bool spmm_profitable_general(
-      const Subtemplate& node) const noexcept {
-    const auto& passive_frontier =
-        frontiers_[static_cast<std::size_t>(node.passive)];
-    const auto& active_frontier =
-        delta_restrict_ != nullptr
-            ? *delta_restrict_
-            : frontiers_[static_cast<std::size_t>(node.active)];
-    const std::size_t fp = passive_frontier.size();
-    if (fp == 0 || active_frontier.empty()) return false;
-    const std::size_t deg_sum = frontier_degree_sum(&active_frontier);
-    const std::size_t width =
-        tables_[static_cast<std::size_t>(node.passive)]->num_colorsets();
-    if constexpr (Table::kDenseRows) {
-      return deg_sum >= 2 * fp;  // naive
-    } else if constexpr (Table::kContiguousRows ||
-                         DecodableRowTable<Table>) {
-      return deg_sum >= fp * width;  // compact / succinct
-    } else {
-      return deg_sum >= 2 * fp;  // hash
-    }
-  }
-
-  void kernel_single_active_spmm(Table& out, int index,
-                                 const Subtemplate& node,
-                                 const ColorArray& colors, bool parallel,
-                                 std::vector<VertexId>* frontier_out,
-                                 DpStageStats& stat) {
-    const Subtemplate& active = partition_.node(node.active);
-    const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
-    const SingleActiveSplit& split =
-        *node_single_[static_cast<std::size_t>(index)];
-    const std::vector<VertexId>* candidates =
-        delta_restrict_ != nullptr ? delta_restrict_ : leaf_frontier(active);
-    const bool check_active =
-        delta_restrict_ != nullptr || candidates == nullptr;
-    spmm_.build(tp, frontiers_[static_cast<std::size_t>(node.passive)],
-                graph_.num_vertices(), parallel, effective_inner_threads());
-    spmm_peak_bytes_ = std::max(spmm_peak_bytes_, spmm_.bytes());
-    const std::uint32_t width = tp.num_colorsets();
-    for_frontier(
-        parallel, {candidates, graph_.num_vertices()}, out.num_colorsets(),
-        width, 0, frontier_out, stat, [&](VertexId v, Workspace& ws) {
-          if (check_active && !leaf_matches(active, v)) return false;
-          const int cv = colors[static_cast<std::size_t>(v)];
-          const auto passives = split.passives(cv);
-          const auto parents = split.parents(cv);
-          const std::size_t m = passives.size();
-          const auto neighbors = graph_.neighbors(v);
-          auto& psum = ws.psum;
-          std::fill(psum.begin(), psum.end(), 0.0);
-          const std::size_t nu = spmm_.template accumulate<Table::kDenseRows>(
-              neighbors.data(), neighbors.size(), psum.data());
-          if (nu == 0) return false;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          double* r = row.data();
-          const double* ps = psum.data();
-          const ColorsetIndex* pas = passives.data();
-          const ColorsetIndex* par = parents.data();
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-          for (std::size_t s = 0; s < m; ++s) {
-            r[par[s]] += ps[pas[s]];
-          }
-          out.commit_row(v, row);
-          ws.macs += neighbors.size() * width + m;
-          return true;
-        });
-  }
-
-  void kernel_general_spmm(Table& out, int index, const Subtemplate& node,
-                           const ColorArray& colors, bool parallel,
-                           std::vector<VertexId>* frontier_out,
-                           DpStageStats& stat) {
-    (void)colors;  // colors only matter at the leaves
-    const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
-    const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
-    const SplitTable& split =
-        *node_general_[static_cast<std::size_t>(index)];
-    const std::vector<VertexId>& active_frontier =
-        delta_restrict_ != nullptr
-            ? *delta_restrict_
-            : frontiers_[static_cast<std::size_t>(node.active)];
-    const std::uint32_t num_actives = split.num_actives();
-    const std::uint32_t passive_width = tp.num_colorsets();
-    const std::uint32_t num_parents = out.num_colorsets();
-    const std::uint32_t per_parent = split.splits_per_parent();
-    const ColorsetIndex* all_act = split.all_actives().data();
-    const ColorsetIndex* all_pas = split.all_passives().data();
-    const std::size_t flat_size = split.flat_size();
-    spmm_.build(tp, frontiers_[static_cast<std::size_t>(node.passive)],
-                graph_.num_vertices(), parallel, effective_inner_threads());
-    spmm_peak_bytes_ = std::max(spmm_peak_bytes_, spmm_.bytes());
-    for_frontier(
-        parallel, {&active_frontier, graph_.num_vertices()}, num_parents,
-        passive_width, 0, frontier_out, stat,
-        [&](VertexId v, Workspace& ws) {
-          const double* arow;
-          if constexpr (Table::kContiguousRows) {
-            arow = ta.row_ptr(v);
-            if (arow == nullptr) return false;  // frontier guarantees rows
-          } else {
-            if (!ta.has_vertex(v)) return false;
-            ws.gather.resize(num_actives);
-            if constexpr (DecodableRowTable<Table>) {
-              ta.decode_row(v, ws.gather.data());
-            } else {
-              for (std::uint32_t idx = 0; idx < num_actives; ++idx) {
-                ws.gather[idx] = ta.get(v, idx);
-              }
-            }
-            arow = ws.gather.data();
-          }
-          bool any_active = false;
-          for (std::uint32_t idx = 0; idx < num_actives; ++idx) {
-            if (arow[idx] != 0.0) {
-              any_active = true;
-              break;
-            }
-          }
-          if (!any_active) return false;
-          const auto neighbors = graph_.neighbors(v);
-          auto& psum = ws.psum;
-          std::fill(psum.begin(), psum.end(), 0.0);
-          const std::size_t nu = spmm_.template accumulate<Table::kDenseRows>(
-              neighbors.data(), neighbors.size(), psum.data());
-          if (nu == 0) return false;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          double* r = row.data();
-          const double* ps = psum.data();
-          // The fold-back is the frontier fold path's parent-major
-          // dot-product sweep, verbatim: zero active values contribute
-          // exact zero terms, so no filtering is needed.
-          const ColorsetIndex* act = all_act;
-          const ColorsetIndex* pas = all_pas;
-          for (std::uint32_t parent = 0; parent < num_parents;
-               ++parent, act += per_parent, pas += per_parent) {
-            double acc = 0.0;
-#ifdef _OPENMP
-#pragma omp simd reduction(+ : acc)
-#endif
-            for (std::uint32_t s = 0; s < per_parent; ++s) {
-              acc += arow[act[s]] * ps[pas[s]];
-            }
-            r[parent] = acc;
-          }
-          out.commit_row(v, row);
-          ws.macs += neighbors.size() * passive_width + flat_size;
-          return true;
-        });
-  }
-
   // ---- reference kernels (pre-frontier scalar path) ---------------------
   // The seed implementation, kept verbatim behind
   // DpEngineOptions::reference_kernels: full-n scans, per-element
@@ -1997,9 +1725,8 @@ class DpEngine {
   const RunGuard* guard_ = nullptr;
   /// Candidate override for run_delta(): when set, every kernel sweeps
   /// this sorted list instead of its usual candidate source (with the
-  /// leaf label filter re-applied per vertex where one exists), and
-  /// the SpMM gates price their export against it.  Null outside
-  /// delta passes.
+  /// leaf label filter re-applied per vertex where one exists).  Null
+  /// outside delta passes.
   const std::vector<VertexId>* delta_restrict_ = nullptr;
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<std::vector<VertexId>> frontiers_;
@@ -2014,10 +1741,6 @@ class DpEngine {
   std::vector<DpStageStats> stats_;
   /// Per-thread scratch, persistent across stages and iterations.
   std::vector<Workspace> workspaces_;
-  /// SpMM multivector export, rebuilt per eligible stage (buffers keep
-  /// their capacity), plus the peak bytes it ever held.
-  SpmmMultivector spmm_;
-  std::size_t spmm_peak_bytes_ = 0;
   /// Out-of-core paging state (sized only when the spill knobs are
   /// set): page path per spilled node (empty = resident), resident
   /// bytes per node, consuming stages per node (ascending).

@@ -75,8 +75,6 @@ class IncrementalState final : public RunHandle::Impl {
                                       options.root)),
         k_(effective_colors(tmpl, options)),
         n_(graph.num_vertices()) {
-    engine_opts_.spmm_kernels =
-        options_.execution.kernel_family == KernelFamily::kSpmm;
     engine_opts_.inner_threads = resolve_inner_threads(options_);
     if (graph.has_labels()) {
       // Edge deltas never change labels, so the per-label frontier
@@ -245,8 +243,6 @@ class IncrementalState final : public RunHandle::Impl {
     report->label = options_.observability.label;
     report->options = {
         {"execution.table", Table::kName},
-        {"execution.kernel_family",
-         kernel_family_name(options_.execution.kernel_family)},
         {"execution.incremental", "true"},
         {"sampling.iterations",
          std::to_string(options_.sampling.iterations)},

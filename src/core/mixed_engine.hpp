@@ -28,6 +28,7 @@
 #endif
 
 #include "comb/split_table.hpp"
+#include "dp/count_table.hpp"
 #include "graph/graph.hpp"
 #include "treelet/mixed_partition.hpp"
 #include "treelet/mixed_template.hpp"
@@ -76,7 +77,7 @@ class MixedDpEngine {
       }
       return count;
     }
-    const double total = tables_[static_cast<std::size_t>(root)]->total();
+    const double total = table_total(*tables_[static_cast<std::size_t>(root)]);
     release_all_tables();
     return total;
   }

@@ -45,7 +45,7 @@ class MixedWalker {
     if (partition_.node(root).is_leaf()) {
       return static_cast<double>(graph_.num_vertices());
     }
-    return tables_[static_cast<std::size_t>(root)]->total();
+    return table_total(*tables_[static_cast<std::size_t>(root)]);
   }
 
   /// Samples one embedding; requires total() > 0.
@@ -56,7 +56,7 @@ class MixedWalker {
     const Table& table = *tables_[static_cast<std::size_t>(root)];
 
     // Vertex, then colorset within the vertex, proportional to counts.
-    double pick = rng.uniform() * table.total();
+    double pick = rng.uniform() * table_total(table);
     VertexId v = 0;
     for (; v < graph_.num_vertices(); ++v) {
       const double weight = table.vertex_total(v);

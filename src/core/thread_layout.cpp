@@ -29,11 +29,9 @@ ThreadLayout choose_layout(const LayoutInputs& in) {
   // Outer copies beyond the remaining iterations would idle, and each
   // copy owns private tables, so the budget caps the count too.
   copies = std::min(copies, iterations);
-  const std::size_t bytes_per_copy =
-      in.table_bytes_per_copy + in.spmm_bytes_per_copy;
-  if (in.memory_budget_bytes > 0 && bytes_per_copy > 0) {
+  if (in.memory_budget_bytes > 0 && in.table_bytes_per_copy > 0) {
     const auto mem_cap = static_cast<int>(std::min<std::size_t>(
-        in.memory_budget_bytes / bytes_per_copy,
+        in.memory_budget_bytes / in.table_bytes_per_copy,
         static_cast<std::size_t>(threads)));
     copies = std::min(copies, std::max(1, mem_cap));
   }

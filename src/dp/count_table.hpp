@@ -24,16 +24,19 @@
 //
 // The counter is *compile-time* polymorphic over the table type: the
 // innermost DP loop — where the paper measures >90 % of runtime — must
-// not pay a virtual call per read.  All three classes expose the same
+// not pay a virtual call per read.  All four classes expose the same
 // duck-typed API:
 //
 //   bool   has_vertex(VertexId v) const;
 //   double get(VertexId v, ColorsetIndex idx) const;   // 0 when absent
 //   void   commit_row(VertexId v, std::span<const double> row);
-//   double total() const;
-//   double vertex_total(VertexId v) const;
+//   double vertex_total(VertexId v) const;   // row sum, ascending colorset
+//   VertexId num_vertices() const;
 //   std::uint32_t num_colorsets() const;
 //   std::size_t bytes() const;
+//
+// The whole-table sum is table_total() below, defined once for every
+// layout so that all four round the same way once counts pass 2^53.
 //
 // Row-borrow contract (the vectorized kernels' fast path):
 //
@@ -119,5 +122,18 @@ enum class TableKind {
 };
 
 const char* table_kind_name(TableKind kind) noexcept;
+
+/// Sum of every count in `table`: vertex_total(v) over ascending v.
+/// Doubles hold counts exactly only below 2^53, so the summation order
+/// is part of the result; this single order keeps estimates bit-
+/// identical across layouts beyond that point too.
+template <class Table>
+[[nodiscard]] double table_total(const Table& table) noexcept {
+  double sum = 0.0;
+  for (VertexId v = 0; v < table.num_vertices(); ++v) {
+    sum += table.vertex_total(v);
+  }
+  return sum;
+}
 
 }  // namespace fascia

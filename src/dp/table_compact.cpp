@@ -74,16 +74,6 @@ void CompactTable::clear_row(VertexId v) noexcept {
   MemTracker::sub(row_bytes(num_colorsets_));
 }
 
-double CompactTable::total() const noexcept {
-  double sum = 0.0;
-  for (VertexId v = 0; v < n_; ++v) {
-    const double* row = rows_[static_cast<std::size_t>(v)];
-    if (row == nullptr) continue;
-    for (std::uint32_t i = 0; i < num_colorsets_; ++i) sum += row[i];
-  }
-  return sum;
-}
-
 double CompactTable::vertex_total(VertexId v) const noexcept {
   const double* row = rows_[static_cast<std::size_t>(v)];
   if (row == nullptr) return 0.0;

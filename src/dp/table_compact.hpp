@@ -5,7 +5,6 @@
 // vertices and neighbor reads (§III-C) — the source of FASCIA's
 // speedup on selective (labeled / sparse) instances.
 
-#include <cstring>
 #include <memory>
 #include <span>
 
@@ -24,7 +23,6 @@ class CompactTable {
   /// Rows are per-vertex contiguous arrays (absent until first nonzero
   /// commit), so the DP can borrow a raw row pointer per vertex.
   static constexpr bool kContiguousRows = true;
-  static constexpr bool kDenseRows = false;
   /// Rows are independent heap allocations behind a pointer array, so
   /// a finished table can be patched row-wise (count_table.hpp).
   static constexpr bool kPatchableRows = true;
@@ -56,19 +54,6 @@ class CompactTable {
     if (row != nullptr) FASCIA_PREFETCH(row);
   }
 
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out — one contiguous copy, exact zeros when the row is absent.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    const double* row = rows_[static_cast<std::size_t>(v)];
-    if (row == nullptr) {
-      std::memset(out, 0, count * sizeof(double));
-    } else {
-      std::memcpy(out, row + begin, count * sizeof(double));
-    }
-  }
-
   /// Allocates the vertex row iff `row` has a nonzero entry.  Safe to
   /// call concurrently for distinct vertices: each writes its own slot
   /// and operator new is thread-safe.
@@ -82,9 +67,9 @@ class CompactTable {
   /// Drops v's row; has_vertex(v) turns false.  No-op when absent.
   void clear_row(VertexId v) noexcept;
 
-  [[nodiscard]] double total() const noexcept;
   [[nodiscard]] double vertex_total(VertexId v) const noexcept;
 
+  [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }

@@ -86,14 +86,6 @@ void HashTable::commit_row(VertexId v, std::span<const double> row) {
   occupied_[static_cast<std::size_t>(v)] = 1;
 }
 
-double HashTable::total() const noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] != kEmpty) sum += values_[i];
-  }
-  return sum;
-}
-
 double HashTable::vertex_total(VertexId v) const noexcept {
   if (!has_vertex(v)) return 0.0;
   double sum = 0.0;

@@ -35,7 +35,6 @@ class HashTable {
   /// per-vertex storage exists to borrow.  row_ptr() always returns
   /// nullptr; kernels fall back to keyed get() reads.
   static constexpr bool kContiguousRows = false;
-  static constexpr bool kDenseRows = false;
   /// Open addressing has no O(1) row erase (tombstones would bleed
   /// into probe chains) — the delta path keeps the copy-splice here.
   static constexpr bool kPatchableRows = false;
@@ -66,24 +65,11 @@ class HashTable {
     }
   }
 
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out.  One keyed probe per column — expensive per call, but the
-  /// export runs once per stage per frontier vertex where the gather
-  /// kernels probe once per *edge*; that amortization is the SpMM
-  /// family's whole win on this layout.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    for (std::uint32_t c = 0; c < count; ++c) {
-      out[c] = get(v, begin + c);
-    }
-  }
-
   void commit_row(VertexId v, std::span<const double> row);
 
-  [[nodiscard]] double total() const noexcept;
   [[nodiscard]] double vertex_total(VertexId v) const noexcept;
 
+  [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }

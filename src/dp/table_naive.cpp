@@ -33,12 +33,6 @@ void NaiveTable::commit_row(VertexId v, std::span<const double> row) noexcept {
               row.data(), num_colorsets_ * sizeof(double));
 }
 
-double NaiveTable::total() const noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < size_; ++i) sum += data_[i];
-  return sum;
-}
-
 double NaiveTable::vertex_total(VertexId v) const noexcept {
   const double* row = data_.get() + static_cast<std::size_t>(v) * num_colorsets_;
   double sum = 0.0;

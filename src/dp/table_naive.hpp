@@ -3,7 +3,6 @@
 // paper's naive baseline: no per-vertex existence tracking, so
 // has_vertex() is constant true and the DP cannot skip empty vertices.
 
-#include <cstring>
 #include <memory>
 #include <span>
 
@@ -22,9 +21,6 @@ class NaiveTable {
   /// Rows are one dense array; every vertex has a (possibly all-zero)
   /// contiguous row.
   static constexpr bool kContiguousRows = true;
-  /// Every vertex owns a stored (possibly all-zero) row — kernels that
-  /// count "neighbors with rows" must count every neighbor.
-  static constexpr bool kDenseRows = true;
   /// Patching a dense table would not beat re-copying it — the delta
   /// path keeps the copy-splice for this layout (count_table.hpp).
   static constexpr bool kPatchableRows = false;
@@ -46,19 +42,11 @@ class NaiveTable {
     FASCIA_PREFETCH(data_.get() + static_cast<std::size_t>(v) * num_colorsets_);
   }
 
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out.  Rows are dense, so this is one contiguous copy.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    std::memcpy(out, row_ptr(v) + begin, count * sizeof(double));
-  }
-
   void commit_row(VertexId v, std::span<const double> row) noexcept;
 
-  [[nodiscard]] double total() const noexcept;
   [[nodiscard]] double vertex_total(VertexId v) const noexcept;
 
+  [[nodiscard]] VertexId num_vertices() const noexcept { return n_; }
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }

@@ -136,17 +136,6 @@ void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
   slot = blob;
 }
 
-double SuccinctTable::total() const noexcept {
-  // Packed values are stored in ascending colorset order, so this sums
-  // in the same order as a dense row scan minus exact zeros — and the
-  // values are exact integer counts, so reassociation is exact anyway.
-  double sum = 0.0;
-  for (VertexId v = 0; v < n_; ++v) {
-    sum += vertex_total(v);
-  }
-  return sum;
-}
-
 double SuccinctTable::vertex_total(VertexId v) const noexcept {
   const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
   if (blob == nullptr) return 0.0;

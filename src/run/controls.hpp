@@ -12,8 +12,9 @@
 //     boundaries — exhausted runs return the completed prefix with an
 //     honest RunStatus instead of aborting;
 //   * a pre-run memory estimate feeding a degradation ladder
-//     (memory.hpp): table layout naive -> compact -> hash, then fewer
-//     outer-mode private table copies, before the first allocation;
+//     (memory.hpp): table layout naive -> compact -> succinct, then
+//     fewer outer-mode private table copies, then out-of-core paging,
+//     before the first allocation;
 //   * periodic checksummed checkpoints (checkpoint.hpp) written
 //     atomically, from which count_template and sched::run_batch
 //     resume deterministically.

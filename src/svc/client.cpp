@@ -208,23 +208,26 @@ Json Client::mutate_graph(const std::string& graph, const Json& delta,
   return request(req);
 }
 
+void Client::ensure_hello() {
+  if (hello_cached_) return;
+  const Json reply = health();
+  protocol_version_ = static_cast<int>(reply.get_int("protocol", 1));
+  capabilities_.clear();
+  if (const Json* caps = reply.find("capabilities")) {
+    for (const Json& cap : caps->elements()) {
+      capabilities_.push_back(cap.as_string());
+    }
+  }
+  hello_cached_ = true;
+}
+
 int Client::protocol_version() {
-  capabilities();  // fills the hello cache
+  ensure_hello();
   return protocol_version_;
 }
 
 const std::vector<std::string>& Client::capabilities() {
-  if (!hello_cached_) {
-    const Json reply = health();
-    protocol_version_ = static_cast<int>(reply.get_int("protocol", 1));
-    capabilities_.clear();
-    if (const Json* caps = reply.find("capabilities")) {
-      for (const Json& cap : caps->elements()) {
-        capabilities_.push_back(cap.as_string());
-      }
-    }
-    hello_cached_ = true;
-  }
+  ensure_hello();
   return capabilities_;
 }
 

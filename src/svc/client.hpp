@@ -125,6 +125,7 @@ class Client {
   Client(util::Socket socket, RetryOptions retry);
 
   void ensure_connected();
+  void ensure_hello();  ///< fetches protocol/capabilities once
   obs::Json request_once(const obs::Json& request);
   double next_jitter();  ///< uniform in [0.5, 1.0), deterministic
 

@@ -50,7 +50,6 @@ inline constexpr int kProtocolVersion = 2;
 /// The server's feature list, as a JSON array of strings.  A client
 /// checks for the capability before sending the op it names:
 ///   "mutate_graph"   mutate_graph + recount ops, version tokens
-///   "kernel_family"  count options accept "kernel_family" (PR 9)
 ///   "adaptive_batch" batch options accept "adaptive_batch" (PR 8)
 Json capabilities_json();
 

@@ -200,7 +200,8 @@ std::shared_ptr<const PartitionTree> GraphRegistry::partition_of(
   std::string key = "t:" + ahu_free(tmpl);
   key += strategy == PartitionStrategy::kBalanced ? ":bal" : ":one";
   key += share_tables ? ":s" : ":u";
-  key += ":" + std::to_string(root);
+  key += ':';
+  key += std::to_string(root);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -57,7 +57,7 @@ std::uint64_t rooted_aut_recurse(const TreeTemplate& t, int v, int parent,
     i = j;
   }
 
-  canon_out = "(";
+  canon_out = '(';
   if (t.has_labels()) {
     canon_out += std::to_string(static_cast<int>(t.label(v)));
     canon_out += ':';

@@ -10,12 +10,8 @@ Cli::Cli(std::string program_description)
     : description_(std::move(program_description)) {}
 
 void Cli::add_flag(const std::string& name, const std::string& help) {
-  Spec spec;
-  spec.help = help;
-  spec.is_flag = true;
-  spec.value = "0";
   order_.push_back(name);
-  specs_[name] = std::move(spec);
+  specs_[name] = Spec{.help = help, .is_flag = true, .value = "0"};
 }
 
 void Cli::add_option(const std::string& name, const std::string& help,
@@ -62,7 +58,7 @@ bool Cli::parse(int argc, char** argv) {
       if (has_value) {
         throw std::invalid_argument("flag --" + arg + " takes no value");
       }
-      spec.value = "1";
+      spec.value = '1';
     } else {
       if (!has_value) {
         if (i + 1 >= argc) {

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "core/counter.hpp"
-#include "core/engine.hpp"
-#include "dp/table_naive.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "run/checkpoint.hpp"
@@ -29,7 +27,6 @@
 #include "treelet/catalog.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/rng.hpp"
 
 namespace fascia {
 namespace {
@@ -231,7 +228,7 @@ TEST(MemoryPlan, ImpossibleBudgetReportsNotFitting) {
   EXPECT_FALSE(plan.degradations.empty());
 }
 
-TEST(MemoryPlan, SuccinctRungBetweenCompactAndHash) {
+TEST(MemoryPlan, SuccinctRungFollowsCompact) {
   const TreeTemplate& tree = catalog_entry("U7-1").tree;
   const auto part =
       partition_template(tree, PartitionStrategy::kOneAtATime, true);
@@ -241,15 +238,55 @@ TEST(MemoryPlan, SuccinctRungBetweenCompactAndHash) {
   const auto succinct = run::estimate_peak_bytes(part, 7, n,
                                                  TableKind::kSuccinct, false);
   ASSERT_LT(succinct, compact);
-  // Between the two estimates the ladder must stop on succinct — not
-  // jump past it to hash (modeled larger on unselective instances) or
-  // report not fitting.
+  // Between the two estimates the ladder must stop on succinct, not
+  // shed copies, page out or report not fitting.
   const auto plan = run::plan_memory(part, 7, n, false, TableKind::kCompact,
                                      1, (compact + succinct) / 2);
   EXPECT_EQ(plan.table, TableKind::kSuccinct);
   EXPECT_TRUE(plan.fits);
   EXPECT_FALSE(plan.spill);
   EXPECT_FALSE(plan.degradations.empty());
+}
+
+TEST(MemoryPlan, HashIsNeverALadderRung) {
+  // Succinct beats hash on both bytes and time, so below the succinct
+  // estimate the ladder goes on to fewer copies, paging, or an honest
+  // fits = false; it never moves a run onto the hash layout.  Labeled
+  // small-k tables are where hash models smaller than succinct.
+  const VertexId n = 100000;
+  for (const TreeTemplate& tree :
+       {catalog_entry("U7-1").tree, TreeTemplate::path(4)}) {
+    const int k = tree.size();
+    const auto part =
+        partition_template(tree, PartitionStrategy::kOneAtATime, true);
+    for (bool labeled : {false, true}) {
+      const std::size_t succinct =
+          run::plan_memory(part, k, n, labeled, TableKind::kSuccinct, 1, 0)
+              .estimated_peak_bytes;
+      for (TableKind requested :
+           {TableKind::kNaive, TableKind::kCompact, TableKind::kSuccinct}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " " +
+                     table_kind_name(requested) +
+                     (labeled ? " labeled" : " unlabeled"));
+        const auto copies = run::plan_memory(part, k, n, labeled, requested,
+                                             4, 2 * succinct);
+        EXPECT_EQ(copies.table, TableKind::kSuccinct);
+        EXPECT_EQ(copies.engine_copies, 2);
+        EXPECT_TRUE(copies.fits);
+
+        const auto floor = run::plan_memory(part, k, n, labeled, requested,
+                                            1, succinct / 2);
+        EXPECT_EQ(floor.table, TableKind::kSuccinct);
+        EXPECT_FALSE(floor.fits);
+
+        const auto paged = run::plan_memory(part, k, n, labeled, requested,
+                                            1, succinct / 2, 1,
+                                            /*spill_available=*/true);
+        EXPECT_EQ(paged.table, TableKind::kSuccinct);
+        EXPECT_TRUE(paged.spill);
+      }
+    }
+  }
 }
 
 TEST(MemoryPlan, SuccinctEstimateBracketsMeasuredPeak) {
@@ -276,45 +313,6 @@ TEST(MemoryPlan, SuccinctEstimateBracketsMeasuredPeak) {
   EXPECT_LT(run::estimate_peak_bytes(part, 7, g.num_vertices(),
                                      TableKind::kSuccinct, false),
             naive);
-}
-
-TEST(MemoryPlan, SpmmEstimateBracketsMeasuredWorkspace) {
-  // The SpMM multivector estimate prices the widest eligible stage
-  // from compact-occupancy row counts; the engine records the actual
-  // slab + remap peak across the stages that really took the SpMM
-  // path.  Like the succinct table bracket, the contract is a 4x
-  // factor in either direction, and plan_memory must carry the bytes
-  // on top of the table peak.
-  const Graph g = erdos_renyi_gnm(2000, 6000, 7);
-  const TreeTemplate& tree = catalog_entry("U7-1").tree;
-  const auto part =
-      partition_template(tree, PartitionStrategy::kOneAtATime, true);
-  const std::size_t estimate = run::estimate_spmm_multivector_bytes(
-      part, 7, g.num_vertices(), false);
-  ASSERT_GT(estimate, 0u);
-
-  // Naive tables: dense rows keep every SpMM-eligible stage past the
-  // per-layout profitability gate on this graph, so the measured peak
-  // covers the widest stage the estimate prices.
-  DpEngineOptions engine_opts;
-  engine_opts.spmm_kernels = true;
-  DpEngine<NaiveTable> engine(g, part, 7, engine_opts);
-  ColorArray colors(static_cast<std::size_t>(g.num_vertices()));
-  Xoshiro256 rng(5);
-  for (auto& c : colors) c = static_cast<std::uint8_t>(rng.bounded(7));
-  engine.run(colors, /*parallel_inner=*/false);
-  const std::size_t measured = engine.spmm_workspace_bytes();
-  ASSERT_GT(measured, 0u);
-  EXPECT_GE(4 * estimate, measured);
-  EXPECT_LE(estimate, 4 * measured);
-
-  const auto base = run::plan_memory(part, 7, g.num_vertices(), false,
-                                     TableKind::kNaive, 1, 0, 1);
-  const auto with_spmm = run::plan_memory(part, 7, g.num_vertices(), false,
-                                          TableKind::kNaive, 1, 0, 1,
-                                          /*spill_available=*/false, estimate);
-  EXPECT_GE(with_spmm.estimated_peak_bytes,
-            base.estimated_peak_bytes + estimate);
 }
 
 TEST(MemoryPlan, SpillRungArmsOnlyWithDirectory) {
@@ -582,43 +580,6 @@ TEST(ResilientCount, ResumeExtendsToBitIdenticalEstimates) {
   // Phase 2: resume and extend to the full 10.  Same seed + counter
   // -mode colorings => the estimates must match bit for bit.
   CountOptions second = reference_options;
-  second.run.checkpoint_path = path;
-  second.run.resume = true;
-  const CountResult resumed = count_template(g, tree, second);
-  EXPECT_TRUE(resumed.run.resumed);
-  EXPECT_EQ(resumed.run.resumed_iterations, 4);
-  EXPECT_TRUE(resumed.run.resume_rejected.empty());
-  ASSERT_EQ(resumed.per_iteration.size(), reference.per_iteration.size());
-  for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
-    EXPECT_EQ(resumed.per_iteration[i], reference.per_iteration[i]) << i;
-  }
-  EXPECT_EQ(resumed.estimate, reference.estimate);
-  std::remove(path.c_str());
-}
-
-TEST(ResilientCount, ResumeAcrossKernelFamilyBitIdentical) {
-  // kernel_family is execution strategy, not sampling state, so —
-  // like reference_kernels and reorder — it is excluded from the
-  // checkpoint fingerprint: a checkpoint written under the frontier
-  // family must resume under KernelFamily::kSpmm and extend to
-  // bit-identical estimates (the families agree bit for bit).
-  const Graph g = test_graph();
-  const TreeTemplate& tree = catalog_entry("U5-2").tree;
-  const std::string path = temp_path("fascia_resume_family.bin");
-  std::remove(path.c_str());
-
-  CountOptions reference_options = base_options();
-  reference_options.sampling.iterations = 10;
-  const CountResult reference = count_template(g, tree, reference_options);
-
-  CountOptions first = reference_options;
-  first.sampling.iterations = 4;
-  first.run.checkpoint_path = path;
-  first.run.checkpoint_every = 2;
-  count_template(g, tree, first);
-
-  CountOptions second = reference_options;
-  second.execution.kernel_family = KernelFamily::kSpmm;
   second.run.checkpoint_path = path;
   second.run.resume = true;
   const CountResult resumed = count_template(g, tree, second);

@@ -419,6 +419,34 @@ TEST(SvcServer, MalformedRequestsGetTypedErrors) {
   server.stop();
 }
 
+TEST(SvcServer, KernelFamilyKeyAcceptsOnlyFrontier) {
+  // Older encoders always sent "kernel_family":"frontier"; that value
+  // still decodes, any other is a typed bad request, and the server no
+  // longer advertises the capability.
+  svc::Server::Config config;
+  svc::Server server(config);
+  server.service().registry().put("g", erdos_renyi_gnm(300, 1200, 3));
+  server.start();
+  svc::Client client = svc::Client::connect_tcp("127.0.0.1", server.port());
+  EXPECT_FALSE(client.has_capability("kernel_family"));
+
+  Json spmm = count_request("g", "U5-1", 2, 9);
+  spmm["options"]["kernel_family"] = "spmm";
+  const Json rejected = client.request(spmm);
+  EXPECT_FALSE(rejected.get_bool("ok", true));
+  EXPECT_EQ(rejected.get_string("category"),
+            error_category_name(ErrorCategory::kBadInput));
+
+  const Json plain = client.request(count_request("g", "U5-1", 2, 9));
+  Json frontier = count_request("g", "U5-1", 2, 9);
+  frontier["options"]["kernel_family"] = "frontier";
+  const Json accepted = client.request(frontier);
+  ASSERT_TRUE(plain.get_bool("ok"));
+  ASSERT_TRUE(accepted.get_bool("ok"));
+  EXPECT_EQ(accepted.get_double("estimate"), plain.get_double("estimate"));
+  server.stop();
+}
+
 TEST(SvcServer, MalformedFrameCorpusGetsTypedErrorsNotCrashes) {
   svc::Server::Config config;
   svc::Server server(config);

@@ -98,7 +98,9 @@ TEST_P(SplitTableProperty, ActiveGroupedViewCoversAllSplits) {
     std::set<ColorsetIndex> parents_seen;
     for (std::size_t s = 0; s < parents.size(); ++s) {
       // Passives ascend within a group (monotone gather) ...
-      if (s > 0) EXPECT_LT(passives[s - 1], passives[s]);
+      if (s > 0) {
+        EXPECT_LT(passives[s - 1], passives[s]);
+      }
       // ... and parents are distinct (conflict-free scatter).
       EXPECT_TRUE(parents_seen.insert(parents[s]).second);
       grouped.emplace(act, parents[s], passives[s]);

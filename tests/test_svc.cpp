@@ -13,16 +13,20 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/counter.hpp"
 #include "graph/builder.hpp"
+#include "graph/datasets.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "run/checkpoint.hpp"
+#include "svc/journal.hpp"
+#include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "treelet/catalog.hpp"
 #include "util/error.hpp"
@@ -311,38 +315,6 @@ TEST(SvcService, AdmissionRequotesSuccinctInsteadOfRejecting) {
     EXPECT_EQ(got.per_iteration[i], expected.per_iteration[i]) << i;
   }
   EXPECT_EQ(got.estimate, expected.estimate);
-}
-
-TEST(SvcService, AdmissionQuotesSpmmWorkspaceOnTopOfTables) {
-  // The SpMM kernel family carries a dense multivector working set
-  // per engine copy on top of the table peak; admission must price it
-  // (otherwise a fleet of SpMM jobs admitted on table-only quotes
-  // blows the budget), and the job must still complete with numbers
-  // bit-identical to the frontier family.
-  const TreeTemplate tmpl = catalog_entry("U7-1").tree;
-
-  svc::Service service({});
-  service.registry().put("g", erdos_renyi_gnm(5000, 20000, 1));
-  svc::JobSpec frontier_spec = count_spec("g", tmpl, 2);
-  svc::JobSpec spmm_spec = count_spec("g", tmpl, 2);
-  spmm_spec.options.execution.kernel_family = KernelFamily::kSpmm;
-  const svc::JobId a = service.submit(std::move(frontier_spec));
-  const svc::JobId b = service.submit(std::move(spmm_spec));
-  const std::size_t frontier_quote = service.info(a).estimated_peak_bytes;
-  const std::size_t spmm_quote = service.info(b).estimated_peak_bytes;
-  EXPECT_GT(spmm_quote, frontier_quote);
-
-  EXPECT_EQ(service.wait(a).state, svc::JobState::kCompleted);
-  EXPECT_EQ(service.wait(b).state, svc::JobState::kCompleted);
-  const CountResult frontier_result = service.count_result(a);
-  const CountResult spmm_result = service.count_result(b);
-  ASSERT_EQ(spmm_result.per_iteration.size(),
-            frontier_result.per_iteration.size());
-  for (std::size_t i = 0; i < frontier_result.per_iteration.size(); ++i) {
-    EXPECT_EQ(spmm_result.per_iteration[i], frontier_result.per_iteration[i])
-        << i;
-  }
-  EXPECT_EQ(spmm_result.estimate, frontier_result.estimate);
 }
 
 TEST(SvcService, ShutdownCancelsQueuedJobs) {
@@ -785,6 +757,73 @@ TEST(SvcSession, DrainMetricsScopesToTheSessionWindow) {
   svc::Session after(service);
   EXPECT_FALSE(has_activity(after.drain_metrics()));
   obs::set_enabled(false);
+}
+
+// ---- legacy "kernel_family" key --------------------------------------------
+// Encoders before the frontier kernels became the only DP path always
+// wrote "kernel_family":"frontier" into count options, and job
+// journals replay through job_spec_from_request.  The decoder keeps
+// accepting that one value and rejects any other.
+
+/// A count accept record exactly as those encoders journaled it.
+constexpr const char* kLegacyCountRequest =
+    R"({"op":"count","graph":"g","priority":"batch","preemptible":true,)"
+    R"("request_id":"legacy-1","template":{"k":5,"edges":[[0,1],[1,2],)"
+    R"([2,3],[3,4]]},"options":{"iterations":4,"colors":0,"seed":11,)"
+    R"("table":"compact","partition":"one","mode":"serial","threads":0,)"
+    R"("reorder":"none","kernel_family":"frontier"}})";
+
+TEST(SvcProtocol, KernelFamilyAcceptsOnlyFrontier) {
+  std::optional<obs::Json> request = obs::Json::parse(kLegacyCountRequest);
+  ASSERT_TRUE(request.has_value());
+  const svc::JobSpec spec = svc::job_spec_from_request(*request);
+  EXPECT_EQ(spec.options.sampling.iterations, 4);
+  EXPECT_EQ(spec.request_id, "legacy-1");
+
+  (*request)["options"]["kernel_family"] = "spmm";
+  try {
+    (void)svc::job_spec_from_request(*request);
+    ADD_FAILURE() << "kernel_family spmm was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kBadInput);
+  }
+}
+
+TEST(SvcProtocol, EncoderDropsKernelFamily) {
+  const obs::Json request = svc::job_spec_to_request_json(
+      count_spec("g", catalog_entry("U5-1").tree, 2));
+  const obs::Json* options = request.find("options");
+  ASSERT_NE(options, nullptr);
+  EXPECT_EQ(options->find("kernel_family"), nullptr);
+}
+
+TEST(SvcService, LegacyJournalWithKernelFamilyReplays) {
+  const std::string journal = temp_dir("legacy_journal") + "/jobs.fjrn";
+  {
+    svc::Journal writer = svc::Journal::open_truncate(journal);
+    writer.append(svc::JournalKind::kGraph, 0,
+                  R"({"name":"g","dataset":"enron","scale":0.05,"seed":1})");
+    writer.append(svc::JournalKind::kAccepted, 1, kLegacyCountRequest);
+  }
+  CountOptions direct;
+  direct.sampling.iterations = 4;
+  direct.sampling.seed = 11;
+  direct.execution.mode = ParallelMode::kSerial;
+  const CountResult expected = count_template(
+      load_or_make("enron", "", 0.05, 1), catalog_entry("U5-1").tree, direct);
+
+  svc::Service::Config config;
+  config.journal_path = journal;
+  svc::Service service(config);
+  EXPECT_GE(service.health().journal_replays, 1u);
+  // The same request_id attaches to the replayed job.
+  svc::JobSpec again = count_spec("g", catalog_entry("U5-1").tree, 4, 11);
+  again.request_id = "legacy-1";
+  const svc::JobId id = service.submit(std::move(again));
+  ASSERT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+  const CountResult replayed = service.count_result(id);
+  EXPECT_EQ(replayed.estimate, expected.estimate);
+  EXPECT_EQ(replayed.per_iteration, expected.per_iteration);
 }
 
 }  // namespace

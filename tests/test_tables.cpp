@@ -16,7 +16,7 @@
 namespace fascia {
 namespace {
 
-// Typed test: the three layouts share one behavioural contract.
+// Typed test: the four layouts share one behavioural contract.
 template <class T>
 class TableContract : public ::testing::Test {};
 
@@ -31,7 +31,7 @@ TYPED_TEST(TableContract, FreshTableReadsZero) {
       EXPECT_DOUBLE_EQ(table.get(v, c), 0.0);
     }
   }
-  EXPECT_DOUBLE_EQ(table.total(), 0.0);
+  EXPECT_DOUBLE_EQ(table_total(table), 0.0);
 }
 
 TYPED_TEST(TableContract, CommitThenReadBack) {
@@ -49,10 +49,22 @@ TYPED_TEST(TableContract, TotalsAndVertexTotals) {
   TypeParam table(4, 3);
   table.commit_row(0, std::vector<double>{1.0, 2.0, 0.0});
   table.commit_row(2, std::vector<double>{0.0, 0.0, 4.0});
-  EXPECT_DOUBLE_EQ(table.total(), 7.0);
+  EXPECT_DOUBLE_EQ(table_total(table), 7.0);
   EXPECT_DOUBLE_EQ(table.vertex_total(0), 3.0);
   EXPECT_DOUBLE_EQ(table.vertex_total(1), 0.0);
   EXPECT_DOUBLE_EQ(table.vertex_total(2), 4.0);
+}
+
+TYPED_TEST(TableContract, TotalSumsVertexTotalsInVertexOrder) {
+  // Past 2^53 doubles round, so the summation order is part of the
+  // result.  Every layout sums vertex_total(v) over ascending v, so
+  // this table totals 2^53 + 2 everywhere; one running sum over all
+  // cells would round 2^53 + 1 back down twice and return 2^53.
+  constexpr double kTwo53 = 9007199254740992.0;
+  TypeParam table(2, 2);
+  table.commit_row(0, std::vector<double>{kTwo53, 0.0});
+  table.commit_row(1, std::vector<double>{1.0, 1.0});
+  EXPECT_EQ(table_total(table), kTwo53 + 2.0);
 }
 
 TYPED_TEST(TableContract, NumColorsetsReported) {
@@ -112,36 +124,6 @@ TYPED_TEST(TableContract, RowBorrowMatchesGet) {
       }
     } else {
       EXPECT_EQ(row, nullptr);
-    }
-  }
-}
-
-// ---- blocked row export (SpMM multivector build) -------------------------
-// export_row_block(v, begin, count, out) must fill exactly `count`
-// doubles reading element-for-element like get(v, begin + .), with
-// exact zeros for absent rows and absent columns, for every layout
-// and any block partition of the colorset axis — the SpmmMultivector
-// (core/spmm_kernels.hpp) leans on this to build bit-identical slabs.
-
-TYPED_TEST(TableContract, ExportRowBlockMatchesGet) {
-  constexpr std::uint32_t kWidth = 11;
-  TypeParam table(6, kWidth);
-  // Mixed density: v1 interleaves zeros (succinct may pick either
-  // mode), v4 is fully dense (bitmap mode), v5 is one-hot (sorted
-  // slots), v0/v2/v3 never committed.
-  table.commit_row(1, std::vector<double>{3, 0, 0, 7, 0, 1, 0, 0, 9, 0, 2});
-  table.commit_row(4, std::vector<double>(kWidth, 5.0));
-  table.commit_row(5, std::vector<double>{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4});
-  for (VertexId v = 0; v < 6; ++v) {
-    for (std::uint32_t count : {1u, 3u, 4u, kWidth}) {
-      for (std::uint32_t begin = 0; begin + count <= kWidth; begin += count) {
-        std::vector<double> out(count, -1.0);  // poison: exports must overwrite
-        table.export_row_block(v, begin, count, out.data());
-        for (std::uint32_t c = 0; c < count; ++c) {
-          EXPECT_DOUBLE_EQ(out[c], table.get(v, begin + c))
-              << "v=" << v << " begin=" << begin << " count=" << count;
-        }
-      }
     }
   }
 }
@@ -360,7 +342,7 @@ TEST(SuccinctTable, SparseFootprintBeatsCompact) {
     compact.commit_row(v, row);
   }
   EXPECT_LT(succinct.bytes(), compact.bytes() / 4);
-  EXPECT_DOUBLE_EQ(succinct.total(), compact.total());
+  EXPECT_DOUBLE_EQ(table_total(succinct), table_total(compact));
 }
 
 TEST(SuccinctTable, BytesCoverSlabsAndMemTrackerBalances) {
