@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
 
     // Hybrid series: the cost-model scheduler picks its own split of
     // the same thread pool (one iteration => outer corner never wins,
-    // so this measures the probe + inner path).
+    // so this measures the modeled inner split).
     options.execution.mode = ParallelMode::kHybrid;
     const CountResult hybrid = count_template(g, tree, options);
     const double hybrid_seconds = hybrid.seconds_per_iteration[0];

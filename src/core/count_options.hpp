@@ -35,9 +35,9 @@ namespace fascia {
 /// layout.  Inner parallelizes the per-vertex loop of each DP pass
 /// (best for large graphs); outer runs whole iterations concurrently
 /// with private tables (best for small graphs, memory grows with
-/// thread count); hybrid probes one iteration and splits the threads
-/// into outer_copies x inner_threads by a cost model (table bytes x
-/// measured frontier occupancy — core/thread_layout.hpp).
+/// thread count); hybrid splits the threads into outer_copies x
+/// inner_threads by a cost model (table bytes x modeled frontier
+/// occupancy — sched/thread_layout.hpp).
 enum class ParallelMode {
   kSerial,
   kInnerLoop,

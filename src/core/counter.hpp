@@ -12,6 +12,10 @@
 // iterations, num_colors) — *not* on thread count or parallel mode,
 // because iteration i always uses the coloring derived from
 // (seed, i).  Tests pin this property.
+//
+// Both entry points run as a one-job batch on the iteration driver
+// that sched::run_batch uses (sched/driver.hpp), so checkpoints,
+// layouts and reports behave the same on either path.
 
 #include "core/count_options.hpp"
 #include "graph/graph.hpp"
@@ -39,5 +43,15 @@ CountResult graphlet_degrees(const Graph& graph, const TreeTemplate& tmpl,
 
 /// Resolved number of colors for an options/template pair.
 int effective_colors(const TreeTemplate& tmpl, const CountOptions& options);
+
+namespace detail {
+
+/// The input checks every single-template entry point shares (labels
+/// on one side only, color count, iterations, root range, then
+/// CountOptions::validate()).  Messages start with `api`.
+void validate_count_inputs(const Graph& graph, const TreeTemplate& tmpl,
+                           const CountOptions& options, const char* api);
+
+}  // namespace detail
 
 }  // namespace fascia

@@ -475,6 +475,23 @@ class DpEngine {
     return count;
   }
 
+  /// Adds a computed node's per-vertex totals into `out` (size n): its
+  /// table's row sums, or 1 per label-matching vertex for a leaf.
+  void add_vertex_totals(int node, std::vector<double>& out) {
+    const Subtemplate& sub = partition_.node(node);
+    if (sub.is_leaf()) {
+      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+        if (leaf_matches(sub, v)) out[static_cast<std::size_t>(v)] += 1.0;
+      }
+      return;
+    }
+    ensure_resident(node);
+    const Table& table = *tables_[static_cast<std::size_t>(node)];
+    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+      out[static_cast<std::size_t>(v)] += table.vertex_total(v);
+    }
+  }
+
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
   /// over the root table (Alg. 2 line 20).  When per_vertex is
   /// non-null it must have size n; root-table vertex totals are
@@ -484,34 +501,7 @@ class DpEngine {
              bool keep_tables = false) {
     compute_tables(colors, parallel_inner, nullptr, keep_tables);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
-
-    const int root = partition_.root_node();
-    const Subtemplate& root_node = partition_.node(root);
-    if (root_node.is_leaf()) {
-      // Single-vertex template: every (label-matching) vertex counts 1.
-      double count = 0.0;
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        if (leaf_matches(root_node, v)) {
-          count += 1.0;
-          if (per_vertex != nullptr) {
-            (*per_vertex)[static_cast<std::size_t>(v)] += 1.0;
-          }
-        }
-      }
-      return count;
-    }
-
-    // The last eviction pass may have paged the root itself out.
-    ensure_resident(root);
-    const Table& table = *tables_[static_cast<std::size_t>(root)];
-    if (per_vertex != nullptr) {
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
-      }
-    }
-    const double total = table_total(table);
-    if (!keep_tables) release_all_tables();
-    return total;
+    return root_total(per_vertex, !keep_tables);
   }
 
   /// Table for a node (nullptr for leaves or freed nodes); valid after
@@ -718,27 +708,7 @@ class DpEngine {
       std::vector<VertexId>().swap(old_frontiers[idx]);
     }
 
-    const int root = partition_.root_node();
-    const Subtemplate& root_node = partition_.node(root);
-    if (root_node.is_leaf()) {
-      double count = 0.0;
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        if (leaf_matches(root_node, v)) {
-          count += 1.0;
-          if (per_vertex != nullptr) {
-            (*per_vertex)[static_cast<std::size_t>(v)] += 1.0;
-          }
-        }
-      }
-      return count;
-    }
-    const Table& table = *tables_[static_cast<std::size_t>(root)];
-    if (per_vertex != nullptr) {
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
-      }
-    }
-    return table_total(table);
+    return root_total(per_vertex, /*release=*/false);
   }
 
   [[nodiscard]] const PartitionTree& partition() const noexcept {
@@ -786,6 +756,18 @@ class DpEngine {
                                   VertexId v) const noexcept {
     if (leaf.root_label < 0 || !graph_.has_labels()) return true;
     return leaf.root_label == static_cast<int>(graph_.label(v));
+  }
+
+  /// Total of the whole template after a pass (a single-vertex template
+  /// counts its label-matching vertices), optionally adding per-vertex
+  /// totals and releasing every table.
+  double root_total(std::vector<double>* per_vertex, bool release) {
+    const int root = partition_.root_node();
+    if (per_vertex != nullptr) add_vertex_totals(root, *per_vertex);
+    if (partition_.node(root).is_leaf()) return leaf_count(root);
+    const double total = node_total(root);
+    if (release) release_all_tables();
+    return total;
   }
 
   /// Vertex list a leaf subtemplate restricts the DP to: the label's
@@ -1585,7 +1567,7 @@ class DpEngine {
     const VertexId n = graph_.num_vertices();
 #ifdef _OPENMP
     if (parallel) {
-#pragma omp parallel
+#pragma omp parallel num_threads(effective_inner_threads())
       {
         ReferenceWorkspace workspace;
         workspace.row.resize(row_width);

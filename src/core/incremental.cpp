@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "core/coloring.hpp"
 #include "core/counter.hpp"
 #include "core/engine.hpp"
+#include "core/run_metrics.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
@@ -34,13 +34,9 @@ using detail::iteration_seed;
 using detail::random_coloring;
 
 int resolve_inner_threads(const CountOptions& options) {
-  if (options.execution.mode == ParallelMode::kSerial) return 1;
-#ifdef _OPENMP
-  return options.execution.threads > 0 ? options.execution.threads
-                                       : omp_get_max_threads();
-#else
-  return 1;
-#endif
+  return options.execution.mode == ParallelMode::kSerial
+             ? 1
+             : detail::resolve_threads(options.execution.threads);
 }
 
 }  // namespace
@@ -330,27 +326,7 @@ RunHandle begin_incremental(const Graph& graph, const TreeTemplate& tmpl,
                             const CountOptions& options) {
   CountOptions opts = options;
   opts.execution.incremental = true;
-  if (tmpl.has_labels() != graph.has_labels()) {
-    throw std::invalid_argument(
-        "begin_incremental: template and graph must both be labeled or "
-        "both unlabeled");
-  }
-  const int k = effective_colors(tmpl, opts);
-  if (k < tmpl.size()) {
-    throw std::invalid_argument(
-        "begin_incremental: num_colors must be >= template size");
-  }
-  if (k > kMaxTemplateSize) {
-    throw std::invalid_argument("begin_incremental: too many colors");
-  }
-  if (opts.sampling.iterations < 1) {
-    throw std::invalid_argument(
-        "begin_incremental: iterations must be >= 1");
-  }
-  if (opts.root < -1 || opts.root >= tmpl.size()) {
-    throw std::invalid_argument("begin_incremental: root out of range");
-  }
-  opts.validate();
+  detail::validate_count_inputs(graph, tmpl, opts, "begin_incremental");
 
   std::unique_ptr<RunHandle::Impl> impl;
   switch (opts.execution.table) {

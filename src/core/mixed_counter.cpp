@@ -93,12 +93,8 @@ CountResult run_mixed(const Graph& graph, const MixedTemplate& tmpl,
       // the inner sweep (its serial-corner layout).
       const bool inner = options.execution.mode == ParallelMode::kInnerLoop ||
                          options.execution.mode == ParallelMode::kHybrid;
-#ifdef _OPENMP
-      if (inner && options.execution.threads > 0) {
-        omp_set_num_threads(options.execution.threads);
-      }
-#endif
-      MixedDpEngine<Table> engine(graph, tmpl, partition, k);
+      MixedDpEngine<Table> engine(graph, tmpl, partition, k,
+                                  options.execution.threads);
       for (int iter = 0; iter < iterations; ++iter) {
         WallTimer timer;
         const auto colors =

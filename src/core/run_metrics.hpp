@@ -1,8 +1,8 @@
 #pragma once
 // Run-level registry instruments (DESIGN.md §10) and the thread-count
-// default shared by the two iteration drivers: count_template
-// (core/counter.cpp) and run_batch (sched/run_batch.cpp).  Header-only
-// because sched sits below core in the link order.
+// default shared by the iteration driver (sched/run_batch.cpp) and the
+// engines outside it (incremental, mixed).  Header-only because sched
+// sits below core in the link order.
 
 #ifdef _OPENMP
 #include <omp.h>

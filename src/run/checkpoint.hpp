@@ -11,7 +11,7 @@
 // File layout (little-endian, fixed-width):
 //
 //   magic   "FSCKPT01"                     8 B
-//   kind    u32 (0 = count, 1 = batch)
+//   kind    u32 (1; 0 marks the count-only files of earlier builds)
 //   seed    u64
 //   colors  u32
 //   fprint  u64   caller-supplied config fingerprint
@@ -33,10 +33,14 @@
 namespace fascia::run {
 
 struct Checkpoint {
+  /// Earlier builds wrote count_template checkpoints under their own
+  /// kind; the iteration driver refuses them on resume.  The constant
+  /// still names count runs' files in a directory target.
   static constexpr std::uint32_t kKindCount = 0;
+  /// The one format the iteration driver (sched/driver.hpp) writes.
   static constexpr std::uint32_t kKindBatch = 1;
 
-  std::uint32_t kind = kKindCount;
+  std::uint32_t kind = kKindBatch;
   std::uint64_t seed = 0;
   std::uint32_t num_colors = 0;
 
@@ -48,8 +52,8 @@ struct Checkpoint {
   /// Contiguous completed iteration prefix (counter-mode RNG position).
   std::uint32_t iterations_done = 0;
 
-  /// Per-job partial data; for kKindCount job 0 is the per-iteration
-  /// estimates and an optional job 1 the per-vertex accumulator.
+  /// Every job's completed per-iteration estimates, then — for
+  /// per-vertex count runs — the vertex sums keyed by original ids.
   std::vector<std::vector<double>> per_job;
 };
 

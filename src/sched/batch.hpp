@@ -82,9 +82,9 @@ struct BatchOptions {
   /// kOuterLoop parallelizes over iterations (each spanning all active
   /// jobs, private tables per thread); kInnerLoop parallelizes the
   /// per-vertex loop inside each stage; kSerial is single-threaded.
-  /// kHybrid splits the pool into outer_copies x inner_threads using
-  /// the same cost model as count_template (choose_layout), with a
-  /// modeled frontier occupancy instead of a probe iteration.
+  /// kHybrid splits the pool into outer_copies x inner_threads with
+  /// the cost model count_template uses too (choose_layout fed a
+  /// modeled frontier occupancy).
   ParallelMode mode = ParallelMode::kOuterLoop;
 
   /// OpenMP threads; 0 = runtime default.

@@ -13,14 +13,6 @@ namespace fascia::sched {
 
 namespace {
 
-int resolve_colors(const std::vector<BatchJob>& jobs,
-                   const BatchOptions& options) {
-  if (options.num_colors > 0) return options.num_colors;
-  int k = 1;
-  for (const BatchJob& job : jobs) k = std::max(k, job.tmpl.size());
-  return k;
-}
-
 void validate(const Graph& graph, const std::vector<BatchJob>& jobs,
               const BatchOptions& options, int k) {
   if (jobs.empty()) {
@@ -63,11 +55,19 @@ void validate(const Graph& graph, const std::vector<BatchJob>& jobs,
 
 }  // namespace
 
+int batch_colors(const std::vector<BatchJob>& jobs,
+                 const BatchOptions& options) {
+  if (options.num_colors > 0) return options.num_colors;
+  int k = 1;
+  for (const BatchJob& job : jobs) k = std::max(k, job.tmpl.size());
+  return k;
+}
+
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
-                     const BatchOptions& options) {
+                     const BatchOptions& options, int root) {
   WallTimer timer;
   BatchPlan plan;
-  plan.num_colors = resolve_colors(jobs, options);
+  plan.num_colors = batch_colors(jobs, options);
   validate(graph, jobs, options, plan.num_colors);
 
   // Intern every partition node into the global stage list.  The canon
@@ -82,12 +82,12 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
     const std::shared_ptr<const PartitionTree> cached =
         options.partition_provider
             ? options.partition_provider(job.tmpl, options.partition,
-                                         options.share_tables, /*root=*/-1)
+                                         options.share_tables, root)
             : nullptr;
     const PartitionTree part =
         cached ? *cached
                : partition_template(job.tmpl, options.partition,
-                                    options.share_tables, /*root=*/-1);
+                                    options.share_tables, root);
     plan.job_dp_cost.push_back(part.dp_cost(plan.num_colors));
 
     std::vector<int> local_to_merged(

@@ -48,9 +48,16 @@ struct BatchPlan {
   double seconds = 0.0;                   ///< planning wall time
 };
 
+/// Colors the batch runs with: options.num_colors, or the largest
+/// template size when that is 0.
+int batch_colors(const std::vector<BatchJob>& jobs,
+                 const BatchOptions& options);
+
 /// Builds the merged plan.  Validates per-job template sizes against
-/// the batch's color count and the jobs' iteration budgets.
+/// the batch's color count and the jobs' iteration budgets.  `root`
+/// fixes every job's template root (-1 = strategy default); the count
+/// entry points pass the orbit vertex of their one job.
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
-                     const BatchOptions& options);
+                     const BatchOptions& options, int root = -1);
 
 }  // namespace fascia::sched

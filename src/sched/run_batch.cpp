@@ -12,7 +12,6 @@
 #include "core/coloring.hpp"
 #include "core/engine.hpp"
 #include "core/run_metrics.hpp"
-#include "core/thread_layout.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
@@ -23,7 +22,9 @@
 #include "run/checkpoint.hpp"
 #include "run/guard.hpp"
 #include "run/memory.hpp"
+#include "sched/driver.hpp"
 #include "sched/plan.hpp"
+#include "sched/thread_layout.hpp"
 #include "treelet/canonical.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -35,13 +36,16 @@ namespace fascia::sched {
 
 namespace {
 
-using detail::iteration_seed;
-using detail::random_coloring;
-using detail::colorings_metric;
-using detail::iteration_seconds_metric;
-using detail::peak_bytes_metric;
-using detail::resolve_threads;
-using detail::run_seconds_metric;
+using detail::CountInputs;
+using detail::CountOutputs;
+using fascia::detail::colorings_metric;
+using fascia::detail::iteration_seconds_metric;
+using fascia::detail::iteration_seed;
+using fascia::detail::peak_bytes_metric;
+using fascia::detail::random_coloring;
+using fascia::detail::random_coloring_permuted;
+using fascia::detail::resolve_threads;
+using fascia::detail::run_seconds_metric;
 
 /// Controller view of one job while the batch runs.
 struct JobState {
@@ -64,36 +68,128 @@ struct JobState {
   }
 };
 
-/// Run-layer configuration resolved before table-type dispatch.
-struct BatchSetup {
+/// Run-layer configuration resolved once, before table-type dispatch.
+struct Setup {
+  ParallelMode mode = ParallelMode::kOuterLoop;  ///< after any demotion
+  int threads = 1;                               ///< resolved pool size
   TableKind table = TableKind::kCompact;
-  int engine_copies = 0;  ///< 0 = no cap (no memory plan ran)
+  int engine_copies = 1;  ///< memory plan's cap on outer engine copies
   bool ladder_degraded = false;
   bool spill = false;  ///< plan took the out-of-core rung
   std::uint64_t fingerprint = 0;
   RunReport report;
 };
 
+/// out[map[i]] = src[i]: scatters a vertex-indexed array through a
+/// permutation direction.  With map = to_old this converts reordered
+/// ids to original ids (checkpoints and reported per-vertex outputs
+/// are always keyed by original ids); with map = to_new it converts
+/// back on resume.
+std::vector<double> scatter_vertex_values(const std::vector<double>& src,
+                                          const std::vector<VertexId>& map) {
+  std::vector<double> out(src.size(), 0.0);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    out[static_cast<std::size_t>(map[i])] = src[i];
+  }
+  return out;
+}
+
+Setup resolve_setup(const Graph& graph, const std::vector<BatchJob>& jobs,
+                    const BatchOptions& options, const BatchPlan& plan,
+                    const CountInputs* count) {
+  Setup setup;
+  setup.mode = options.mode;
+  setup.threads = resolve_threads(options.num_threads);
+  const bool per_vertex = count != nullptr && count->per_vertex;
+  // Early-stopped multi-copy runs can only keep a contiguous iteration
+  // prefix, but per-vertex sums cannot be un-merged per iteration —
+  // demote to inner parallelism, whose accumulation is exact per
+  // iteration.  (Estimates are mode-independent by construction.)
+  if (per_vertex && options.run.active() &&
+      (setup.mode == ParallelMode::kOuterLoop ||
+       setup.mode == ParallelMode::kHybrid)) {
+    setup.report.degradations.push_back(
+        std::string("per-vertex resilient run: ") +
+        parallel_mode_name(setup.mode) + " mode demoted to inner");
+    setup.mode = ParallelMode::kInnerLoop;
+  }
+
+  // Hybrid plans for the worst case (all threads as outer copies); the
+  // layout chooser then respects the plan's engine-copy cap.  copies x
+  // threads_per_copy never exceeds the pool, so the workspace total is
+  // a valid upper bound.  Without a budget the plan only records its
+  // estimate; the ladder runs under a budget alone.
+  const bool copies_scale = setup.mode == ParallelMode::kOuterLoop ||
+                            setup.mode == ParallelMode::kHybrid;
+  const run::MemoryPlan memory = run::plan_memory(
+      plan.merged, plan.num_colors, graph.num_vertices(), graph.has_labels(),
+      options.table, copies_scale ? setup.threads : 1,
+      options.run.memory_budget_bytes,
+      setup.mode == ParallelMode::kInnerLoop ? setup.threads : 1,
+      /*spill_available=*/!options.run.spill_dir.empty());
+  setup.table = memory.table;
+  setup.engine_copies = memory.engine_copies;
+  setup.spill = memory.spill;
+  setup.ladder_degraded = !memory.degradations.empty();
+  setup.report.degradations.insert(setup.report.degradations.end(),
+                                   memory.degradations.begin(),
+                                   memory.degradations.end());
+  setup.report.estimated_peak_bytes = memory.estimated_peak_bytes;
+  setup.report.table_used = setup.table;
+
+  // Everything the per-iteration estimates depend on, so a checkpoint
+  // from a different configuration is rejected instead of silently
+  // blended.  The effective (post-ladder) table kind participates too,
+  // so a checkpoint never blends values from different layouts.
+  std::uint64_t fp = run::kFingerprintSeed;
+  fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindBatch});
+  fp = run::fingerprint_mix(fp,
+                            static_cast<std::uint64_t>(graph.num_vertices()));
+  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(graph.num_edges()));
+  fp = run::fingerprint_mix(fp, options.seed);
+  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(plan.num_colors));
+  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(setup.table));
+  for (const BatchJob& job : jobs) {
+    fp = run::fingerprint_mix(fp, job.tmpl.describe());
+  }
+  fp = run::fingerprint_mix(
+      fp, static_cast<std::uint64_t>(count != nullptr ? count->root + 1 : 0));
+  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(options.partition));
+  fp = run::fingerprint_mix(fp,
+                            static_cast<std::uint64_t>(options.share_tables));
+  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(per_vertex));
+  setup.fingerprint = fp;
+  return setup;
+}
+
+/// The Alg. 1 loop for a concrete table type: shared colorings drawn
+/// in rounds, each iteration one DP pass over the merged stage DAG,
+/// with cooperative guard checks, checkpoints, and an honest partial
+/// result on early stop.  `vertex_sums` (count runs with per_vertex)
+/// receives the raw root-vertex totals of the completed iterations,
+/// in the graph's own (possibly reordered) ids.
 template <class Table>
 void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
              const BatchOptions& options, const BatchPlan& plan,
-             const BatchSetup& setup, BatchResult& out,
+             const Setup& setup, const CountInputs* count, BatchResult& out,
+             std::vector<double>* vertex_sums,
              std::vector<obs::ReportStage>* stages) {
   const int k = plan.num_colors;
-  int threads = resolve_threads(options.num_threads);
-  const bool outer_mode = options.mode == ParallelMode::kOuterLoop;
-  const bool inner_mode = options.mode == ParallelMode::kInnerLoop;
-  const bool hybrid = options.mode == ParallelMode::kHybrid;
-  if (outer_mode && setup.engine_copies > 0) {
-    threads = std::min(threads, setup.engine_copies);
-  }
+  const bool hybrid = setup.mode == ParallelMode::kHybrid;
+  const int threads = setup.mode == ParallelMode::kOuterLoop
+                          ? std::min(setup.threads, setup.engine_copies)
+                          : setup.threads;
 
-  // Resolve the outer x inner split.  The batch engine has no probe
-  // iteration (the first coloring already spans every job), so hybrid
-  // mode feeds choose_layout a modeled occupancy: unlabeled sweeps
-  // visit nearly every vertex, labeled frontiers are sparse.
-  ThreadLayout layout;
-  if (hybrid) {
+  // Resolve the outer x inner split.  The static modes are layout
+  // corners.  Hybrid feeds choose_layout a modeled occupancy instead of
+  // spending an iteration to measure it: unlabeled sweeps visit nearly
+  // every vertex, labeled frontiers are sparse.
+  ThreadLayout layout;  // serial: {1, 1}
+  if (setup.mode == ParallelMode::kInnerLoop) {
+    layout.inner_threads = threads;
+  } else if (setup.mode == ParallelMode::kOuterLoop) {
+    layout.outer_copies = threads;
+  } else if (hybrid) {
     int longest_job = 1;
     for (const BatchJob& job : jobs) {
       longest_job =
@@ -110,37 +206,31 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
         plan.merged, k, graph.num_vertices(), setup.table,
         graph.has_labels());
     in.memory_budget_bytes = options.run.memory_budget_bytes;
+    in.forced_outer_copies = count != nullptr ? count->outer_copies : 0;
     layout = choose_layout(in);
-    if (setup.engine_copies > 0 &&
-        layout.outer_copies > setup.engine_copies) {
+    if (layout.outer_copies > setup.engine_copies) {
       layout.outer_copies = setup.engine_copies;
       layout.inner_threads = std::max(1, threads / layout.outer_copies);
     }
-  } else if (outer_mode) {
-    layout.outer_copies = threads;
-    layout.inner_threads = 1;
-  } else if (inner_mode) {
-    layout.outer_copies = 1;
-    layout.inner_threads = threads;
   }
   const bool outer = layout.outer_copies > 1;
-  const bool parallel_inner = inner_mode || layout.inner_threads > 1;
+  const bool parallel_inner = layout.inner_threads > 1;
   out.layout = layout;
 
   const int round = options.round_iterations > 0 ? options.round_iterations
                                                  : std::max(4, threads);
 #ifdef _OPENMP
-  if (inner_mode && options.num_threads > 0) {
-    omp_set_num_threads(options.num_threads);
-  }
   if (outer && parallel_inner) omp_set_max_active_levels(2);
 #endif
 
   const RunControls& controls = options.run;
-  // Directory targets resolve to a fingerprint-named file so batch
-  // jobs sharing one work directory keep distinct checkpoints.
+  // Directory targets resolve to a fingerprint-named file so jobs
+  // sharing one work directory keep distinct checkpoints.  Count runs
+  // keep their fascia_count_ file names; the format is one kind.
   const std::string checkpoint_path = run::resolve_checkpoint_path(
-      controls.checkpoint_path, run::Checkpoint::kKindBatch,
+      controls.checkpoint_path,
+      count != nullptr ? run::Checkpoint::kKindCount
+                       : run::Checkpoint::kKindBatch,
       setup.fingerprint);
   const bool checkpointing = !checkpoint_path.empty();
   const int checkpoint_every = std::max(1, controls.checkpoint_every);
@@ -149,13 +239,15 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   out.run = setup.report;
   out.run.engine_copies = layout.outer_copies;
 
-  // One private engine (and thus private stage tables) per outer copy,
-  // exactly like ParallelMode::kOuterLoop in count_template.
+  // One private engine (and thus private stage tables: memory scales
+  // with the copy count, §III-E) per outer copy.
   std::vector<DpEngine<Table>> engines;
   const int engine_count = layout.outer_copies;
   engines.reserve(static_cast<std::size_t>(engine_count));
   // The per-label frontier lists are graph-global: build them once and
-  // share them across all engine copies.
+  // share them across all engine copies.  Every copy sweeps its stages
+  // over its thread share; the guided (reverse) schedule keeps a
+  // hub-first vertex order from serializing one chunk.
   DpEngineOptions engine_opts;
   engine_opts.reference_kernels = options.reference_kernels;
   engine_opts.collect_stats =
@@ -177,6 +269,19 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   for (int t = 0; t < engine_count; ++t) {
     engines.emplace_back(graph, plan.merged, k, engine_opts);
     engines.back().set_guard(&guard);
+  }
+
+  // Count-run inputs: per-vertex root totals accumulate per engine copy
+  // within a round and merge into vertex_sums at the round's end;
+  // colorings are keyed on original ids under a reorder.
+  const Permutation* perm = count != nullptr ? count->perm : nullptr;
+  const bool per_vertex = vertex_sums != nullptr;
+  const auto n = static_cast<std::size_t>(graph.num_vertices());
+  std::vector<std::vector<double>> copy_vertex;
+  if (per_vertex) {
+    vertex_sums->assign(n, 0.0);
+    copy_vertex.assign(static_cast<std::size_t>(engine_count),
+                       std::vector<double>(n, 0.0));
   }
 
   const std::size_t num_jobs = jobs.size();
@@ -220,16 +325,22 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   }
 
   // ---- resume -----------------------------------------------------------
+  // A checkpoint holds every job's completed series, then (per-vertex
+  // runs) the vertex sums keyed by original ids.
+  const std::size_t arrays = num_jobs + (per_vertex ? 1 : 0);
   if (checkpointing && controls.resume) {
     std::string why;
     if (auto loaded = run::load_checkpoint(checkpoint_path, &why)) {
       const run::Checkpoint& ck = *loaded;
       const int restored = static_cast<int>(ck.iterations_done);
-      bool lengths_ok = ck.per_job.size() == num_jobs;
-      if (lengths_ok) {
-        for (const auto& series : ck.per_job) {
-          if (static_cast<int>(series.size()) > restored) lengths_ok = false;
+      bool lengths_ok = ck.per_job.size() == arrays;
+      for (std::size_t j = 0; lengths_ok && j < num_jobs; ++j) {
+        if (static_cast<int>(ck.per_job[j].size()) > restored) {
+          lengths_ok = false;
         }
+      }
+      if (lengths_ok && per_vertex && ck.per_job.back().size() != n) {
+        lengths_ok = false;
       }
       if (ck.kind != run::Checkpoint::kKindBatch) {
         why = "checkpoint kind mismatch";
@@ -240,6 +351,14 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
       } else {
         for (std::size_t j = 0; j < num_jobs; ++j) {
           out.jobs[j].per_iteration = ck.per_job[j];
+        }
+        if (per_vertex) {
+          // Checkpoints key per-vertex state by original ids, so a
+          // resume may use a different (or no) reorder mode.
+          *vertex_sums = perm != nullptr
+                             ? scatter_vertex_values(ck.per_job.back(),
+                                                     perm->to_new)
+                             : ck.per_job.back();
         }
         done = restored;
         out.seconds_per_iteration.assign(static_cast<std::size_t>(done),
@@ -294,27 +413,39 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
       }
       if (!why.empty()) out.run.resume_rejected = why;
     } else if (why != "cannot open checkpoint") {
+      // A missing file is a fresh start, not a problem; anything else
+      // (corrupt, truncated, foreign) is reported.
       out.run.resume_rejected = why;
     }
   }
   int last_saved = done;
 
   const auto save_checkpoint = [&]() {
+    FASCIA_TRACE("checkpoint.save", done);
     run::Checkpoint ck;
     ck.kind = run::Checkpoint::kKindBatch;
     ck.seed = options.seed;
     ck.num_colors = static_cast<std::uint32_t>(k);
     ck.fingerprint = setup.fingerprint;
     ck.iterations_done = static_cast<std::uint32_t>(done);
-    ck.per_job.reserve(num_jobs);
+    ck.per_job.reserve(arrays);
     for (std::size_t j = 0; j < num_jobs; ++j) {
       ck.per_job.push_back(out.jobs[j].per_iteration);
+    }
+    if (per_vertex) {
+      ck.per_job.push_back(perm != nullptr
+                               ? scatter_vertex_values(*vertex_sums,
+                                                       perm->to_old)
+                               : *vertex_sums);
     }
     try {
       run::save_checkpoint(checkpoint_path, ck);
       ++out.run.checkpoints_written;
       last_saved = done;
     } catch (const Error&) {
+      // Checkpoints are best-effort: a failed write (disk full,
+      // injected fault) must not kill a healthy run.  The previous
+      // file is still intact thanks to the temp+rename protocol.
       ++out.run.checkpoint_failures;
     }
   };
@@ -380,18 +511,25 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     }
     std::vector<char> completed(static_cast<std::size_t>(end - begin), 0);
 
-    const auto run_one = [&](int iter, DpEngine<Table>& engine,
-                             bool inner_sweep) {
+    const auto run_one = [&](int iter, std::size_t copy) {
       if (guard.poll()) return;
+      DpEngine<Table>& engine = engines[copy];
       WallTimer timer;
       try {
         FASCIA_TRACE("iteration", iter);
         colorings_metric().add();
+        // Iteration i's coloring depends only on (seed, i) and is
+        // drawn in ORIGINAL id order; under reorder the stream scatters
+        // through the permutation, so estimates match the unreordered
+        // run bit for bit.
+        const std::uint64_t iter_seed = iteration_seed(options.seed, iter);
         const ColorArray colors =
-            random_coloring(graph, k, iteration_seed(options.seed, iter));
-        engine.compute_tables(colors, inner_sweep, &needed);
+            perm != nullptr
+                ? random_coloring_permuted(k, iter_seed, perm->to_new)
+                : random_coloring(graph, k, iter_seed);
+        engine.compute_tables(colors, parallel_inner, &needed);
         if (guard.stopped()) {
-          engine.release_all_tables();
+          engine.release_all_tables();  // aborted mid-pass: discard
           return;
         }
         for (std::size_t j : active) {
@@ -400,6 +538,9 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
                                  : engine.node_total(plan.job_root[j]);
           out.jobs[j].per_iteration[static_cast<std::size_t>(
               states[j].base + (iter - begin))] = raw * states[j].scale;
+        }
+        if (per_vertex) {
+          engine.add_vertex_totals(plan.job_root.front(), copy_vertex[copy]);
         }
         engine.release_all_tables();
         const double secs = timer.elapsed_s();
@@ -415,7 +556,7 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
           guard.stop(RunStatus::kMemDegraded);
         } else {
 #ifdef _OPENMP
-#pragma omp critical(fascia_batch_error)
+#pragma omp critical(fascia_run_error)
 #endif
           if (first_error == nullptr) {
             first_error = std::current_exception();
@@ -425,27 +566,33 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
       }
     };
 
+    // Iterations within a round are dynamically scheduled over the
+    // outer copies; determinism holds because iteration i's coloring
+    // depends only on (seed, i).
 #ifdef _OPENMP
     if (outer) {
 #pragma omp parallel num_threads(layout.outer_copies)
       {
-        DpEngine<Table>& engine =
-            engines[static_cast<std::size_t>(omp_get_thread_num())];
+        const auto copy = static_cast<std::size_t>(omp_get_thread_num());
 #pragma omp for schedule(dynamic, 1)
-        for (int iter = begin; iter < end; ++iter) {
-          run_one(iter, engine, parallel_inner);
-        }
+        for (int iter = begin; iter < end; ++iter) run_one(iter, copy);
       }
     } else
 #endif
     {
       for (int iter = begin; iter < end; ++iter) {
         if (fault::fire("run.crash")) throw fault::Injected("run.crash");
-        run_one(iter, engines.front(), parallel_inner);
+        run_one(iter, 0);
         if (guard.stopped()) break;
       }
     }
     if (first_error != nullptr) std::rethrow_exception(first_error);
+    for (std::vector<double>& local : copy_vertex) {
+      for (std::size_t v = 0; v < n; ++v) {
+        (*vertex_sums)[v] += local[v];
+        local[v] = 0.0;
+      }
+    }
 
     // Contiguous completed prefix: a counter-mode resume point.  On a
     // clean round this is simply `end`.
@@ -469,7 +616,8 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     done = prefix;
     if (done < end) {
       // Early stop mid-round: stragglers past the gap are discarded so
-      // the retained estimates form an exact iteration prefix.
+      // the retained estimates form an exact iteration prefix (they are
+      // unbiased too, but resuming needs a counter-mode prefix).
       out.seconds_per_iteration.resize(static_cast<std::size_t>(done));
       for (std::size_t j : active) {
         out.jobs[j].per_iteration.resize(
@@ -553,6 +701,7 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     BatchJobResult& result = out.jobs[j];
     result.iterations = static_cast<int>(result.per_iteration.size());
     result.estimate = mean(result.per_iteration);
+    result.relative_stderr = relative_mean_stderr(result.per_iteration);
     out.iterations_total += result.iterations;
   }
   if (engine_opts.collect_stats) {
@@ -576,12 +725,14 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
 
 }  // namespace
 
-BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
-                      const BatchOptions& options) {
-  if (options.observability.enabled) obs::set_enabled(true);
-  FASCIA_TRACE("batch.run", static_cast<std::int64_t>(jobs.size()));
+namespace detail {
+
+BatchResult drive(const Graph& graph, const std::vector<BatchJob>& jobs,
+                  const BatchOptions& options, obs::RunReport header,
+                  const CountInputs* count, CountOutputs* count_out) {
   WallTimer total_timer;
-  const BatchPlan plan = plan_batch(graph, jobs, options);
+  const BatchPlan plan =
+      plan_batch(graph, jobs, options, count != nullptr ? count->root : -1);
 
   BatchResult result;
   result.jobs.resize(jobs.size());
@@ -590,63 +741,30 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
   result.total_stage_instances = plan.total_stage_instances;
   result.unique_stages = plan.unique_stages;
 
-  BatchSetup setup;
-  setup.table = options.table;
-  if (options.run.memory_budget_bytes > 0) {
-    const int copies = options.mode == ParallelMode::kOuterLoop ||
-                               options.mode == ParallelMode::kHybrid
-                           ? resolve_threads(options.num_threads)
-                           : 1;
-    const int threads_per_copy = options.mode == ParallelMode::kInnerLoop
-                                     ? resolve_threads(options.num_threads)
-                                     : 1;
-    const run::MemoryPlan memory = run::plan_memory(
-        plan.merged, plan.num_colors, graph.num_vertices(),
-        graph.has_labels(), options.table, copies,
-        options.run.memory_budget_bytes, threads_per_copy,
-        /*spill_available=*/!options.run.spill_dir.empty());
-    setup.table = memory.table;
-    setup.engine_copies = memory.engine_copies;
-    setup.spill = memory.spill;
-    setup.ladder_degraded = !memory.degradations.empty();
-    setup.report.degradations = memory.degradations;
-    setup.report.estimated_peak_bytes = memory.estimated_peak_bytes;
-  }
-  setup.report.table_used = setup.table;
-
-  std::uint64_t fp = run::kFingerprintSeed;
-  fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindBatch});
-  fp = run::fingerprint_mix(fp,
-                            static_cast<std::uint64_t>(graph.num_vertices()));
-  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(graph.num_edges()));
-  fp = run::fingerprint_mix(fp, options.seed);
-  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(plan.num_colors));
-  fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(setup.table));
-  for (const BatchJob& job : jobs) {
-    fp = run::fingerprint_mix(fp, job.tmpl.describe());
-  }
-  setup.fingerprint = fp;
-
+  const Setup setup = resolve_setup(graph, jobs, options, plan, count);
+  std::vector<double> vertex_sums;
+  std::vector<double>* sums =
+      count != nullptr && count->per_vertex ? &vertex_sums : nullptr;
   std::vector<obs::ReportStage> stages;
   std::size_t peak_bytes = 0;
   {
     PeakMemScope peak_scope(peak_bytes);
     switch (setup.table) {
       case TableKind::kNaive:
-        execute<NaiveTable>(graph, jobs, options, plan, setup, result,
-                            &stages);
+        execute<NaiveTable>(graph, jobs, options, plan, setup, count, result,
+                            sums, &stages);
         break;
       case TableKind::kCompact:
-        execute<CompactTable>(graph, jobs, options, plan, setup, result,
-                              &stages);
+        execute<CompactTable>(graph, jobs, options, plan, setup, count,
+                              result, sums, &stages);
         break;
       case TableKind::kHash:
-        execute<HashTable>(graph, jobs, options, plan, setup, result,
-                           &stages);
+        execute<HashTable>(graph, jobs, options, plan, setup, count, result,
+                           sums, &stages);
         break;
       case TableKind::kSuccinct:
-        execute<SuccinctTable>(graph, jobs, options, plan, setup, result,
-                               &stages);
+        execute<SuccinctTable>(graph, jobs, options, plan, setup, count,
+                               result, sums, &stages);
         break;
     }
   }
@@ -666,31 +784,11 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
         std::max(result.relative_stderr, job.relative_stderr);
   }
 
-  auto report = std::make_shared<obs::RunReport>();
-  report->kind = "run_batch";
-  report->label = options.observability.label;
-  report->options = {
-      {"jobs", std::to_string(jobs.size())},
-      {"num_colors", std::to_string(plan.num_colors)},
-      {"seed", std::to_string(options.seed)},
-      {"table", table_kind_name(options.table)},
-      {"partition", options.partition == PartitionStrategy::kOneAtATime
-                        ? "one_at_a_time"
-                        : "balanced"},
-      {"share_tables", options.share_tables ? "true" : "false"},
-      {"cross_template_reuse",
-       options.cross_template_reuse ? "true" : "false"},
-      {"mode", parallel_mode_name(options.mode)},
-      {"num_threads", std::to_string(options.num_threads)},
-      {"min_iterations", std::to_string(options.min_iterations)},
-      {"round_iterations", std::to_string(options.round_iterations)},
-      {"adaptive_batch", options.adaptive_batch ? "true" : "false"},
-  };
+  auto report = std::make_shared<obs::RunReport>(std::move(header));
   report->graph.vertices = static_cast<std::int64_t>(graph.num_vertices());
   report->graph.edges = static_cast<std::int64_t>(graph.num_edges());
   report->graph.max_degree = static_cast<std::int64_t>(graph.max_degree());
   report->graph.labeled = graph.has_labels();
-  report->tmpl.subtemplates = static_cast<int>(result.unique_stages);
   report->sampling.requested_iterations = result.run.requested_iterations;
   report->sampling.completed_iterations = result.run.completed_iterations;
   report->sampling.num_colors = plan.num_colors;
@@ -720,19 +818,87 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
   report->run.resume_rejected = result.run.resume_rejected;
   report->run.checkpoints_written = result.run.checkpoints_written;
   report->run.checkpoint_failures = result.run.checkpoint_failures;
-  report->jobs.reserve(result.jobs.size());
-  for (std::size_t j = 0; j < result.jobs.size(); ++j) {
-    obs::ReportJob entry;
-    entry.name = jobs[j].tmpl.describe();
-    entry.estimate = result.jobs[j].estimate;
-    entry.relative_stderr = result.jobs[j].relative_stderr;
-    entry.iterations = result.jobs[j].iterations;
-    entry.converged = result.jobs[j].converged;
-    report->jobs.push_back(std::move(entry));
-  }
   report->stages = std::move(stages);
+
+  if (count != nullptr) {
+    // One-job count run: the count_template report shape and outputs.
+    const BatchJobResult& job = result.jobs.front();
+    const int root_node = plan.job_root.front();
+    report->tmpl.vertices = jobs.front().tmpl.size();
+    report->tmpl.root = count->root;
+    report->tmpl.subtemplates = plan.merged.num_nodes();
+    report->sampling.colorful_probability = job.colorful_probability;
+    report->sampling.automorphisms = job.automorphisms;
+    report->sampling.trajectory = prefix_means(job.per_iteration);
+
+    count_out->root_stabilizer = vertex_stabilizer(
+        jobs.front().tmpl, plan.merged.node(root_node).root);
+    count_out->dp_cost = plan.job_dp_cost.front();
+    count_out->max_live_tables = plan.merged.max_live_tables();
+    count_out->num_subtemplates = plan.merged.num_nodes();
+    count_out->peak_table_bytes = peak_bytes;
+    if (sums != nullptr) {
+      // Per-vertex rooted totals count each occurrence through v once
+      // per stabilizer element of the root's orbit; reported counts
+      // are keyed by ORIGINAL vertex ids.
+      const double vertex_scale =
+          1.0 / (job.colorful_probability *
+                 static_cast<double>(count_out->root_stabilizer));
+      const int done = result.run.completed_iterations;
+      const double denominator = done > 0 ? static_cast<double>(done) : 1.0;
+      count_out->vertex_counts.assign(vertex_sums.size(), 0.0);
+      for (std::size_t v = 0; v < vertex_sums.size(); ++v) {
+        const auto id = count->perm != nullptr
+                            ? static_cast<std::size_t>(count->perm->to_old[v])
+                            : v;
+        count_out->vertex_counts[id] =
+            vertex_sums[v] * vertex_scale / denominator;
+      }
+    }
+  } else {
+    report->tmpl.subtemplates = static_cast<int>(result.unique_stages);
+    report->jobs.reserve(result.jobs.size());
+    for (std::size_t j = 0; j < result.jobs.size(); ++j) {
+      obs::ReportJob entry;
+      entry.name = jobs[j].tmpl.describe();
+      entry.estimate = result.jobs[j].estimate;
+      entry.relative_stderr = result.jobs[j].relative_stderr;
+      entry.iterations = result.jobs[j].iterations;
+      entry.converged = result.jobs[j].converged;
+      report->jobs.push_back(std::move(entry));
+    }
+  }
   result.report = std::move(report);
   return result;
+}
+
+}  // namespace detail
+
+BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
+                      const BatchOptions& options) {
+  if (options.observability.enabled) obs::set_enabled(true);
+  FASCIA_TRACE("batch.run", static_cast<std::int64_t>(jobs.size()));
+  obs::RunReport header;
+  header.kind = "run_batch";
+  header.label = options.observability.label;
+  header.options = {
+      {"jobs", std::to_string(jobs.size())},
+      {"num_colors", std::to_string(batch_colors(jobs, options))},
+      {"seed", std::to_string(options.seed)},
+      {"table", table_kind_name(options.table)},
+      {"partition", options.partition == PartitionStrategy::kOneAtATime
+                        ? "one_at_a_time"
+                        : "balanced"},
+      {"share_tables", options.share_tables ? "true" : "false"},
+      {"cross_template_reuse",
+       options.cross_template_reuse ? "true" : "false"},
+      {"mode", parallel_mode_name(options.mode)},
+      {"num_threads", std::to_string(options.num_threads)},
+      {"min_iterations", std::to_string(options.min_iterations)},
+      {"round_iterations", std::to_string(options.round_iterations)},
+      {"adaptive_batch", options.adaptive_batch ? "true" : "false"},
+  };
+  return detail::drive(graph, jobs, options, std::move(header));
 }
 
 }  // namespace fascia::sched

@@ -271,6 +271,31 @@ TEST(Counter, PerVertexCountsMatchExact) {
               std::abs(result.estimate) * 1e-6);
 }
 
+TEST(Counter, GraphletDegreesOuterParallelMatchesSerial) {
+  // Outer copies sum their per-vertex totals privately and merge them
+  // per round; every total is an exact integer, so the merge order
+  // cannot change a bit.
+  const Graph g = test_graph();
+  const TreeTemplate& tree = catalog_entry("U5-2").tree;
+  const int orbit = u52_central_vertex();
+  CountOptions serial;
+  serial.sampling.iterations = 12;
+  serial.sampling.seed = 9;
+  serial.execution.mode = ParallelMode::kSerial;
+  CountOptions outer = serial;
+  outer.execution.mode = ParallelMode::kOuterLoop;
+  outer.execution.threads = 4;
+  const CountResult a = graphlet_degrees(g, tree, orbit, serial);
+  const CountResult b = graphlet_degrees(g, tree, orbit, outer);
+  EXPECT_EQ(b.layout.outer_copies, 4);
+  EXPECT_EQ(a.per_iteration, b.per_iteration);
+  EXPECT_EQ(a.estimate, b.estimate);
+  ASSERT_EQ(a.vertex_counts.size(), b.vertex_counts.size());
+  EXPECT_EQ(a.vertex_counts, b.vertex_counts);
+  ASSERT_NE(b.report, nullptr);
+  EXPECT_EQ(b.report->kind, "graphlet_degrees");
+}
+
 TEST(Counter, RunningEstimatesArePrefixMeans) {
   const Graph g = test_graph();
   CountOptions options;

@@ -20,6 +20,10 @@
 #include "treelet/mixed_partition.hpp"
 #include "util/error.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace fascia {
 namespace {
 
@@ -248,6 +252,25 @@ TEST(MixedCounter, DeterministicAcrossModesAndTables) {
       }
     }
   }
+}
+
+TEST(MixedCounter, LeavesOmpThreadCountUnchanged) {
+#ifdef _OPENMP
+  // The thread count reaches the mixed engine as its own parameter; it
+  // must not reset the caller's default for later parallel regions.
+  const int before = omp_get_max_threads();
+  CountOptions options;
+  options.sampling.iterations = 2;
+  options.execution.mode = ParallelMode::kInnerLoop;
+  options.execution.threads = before > 1 ? 1 : 2;
+  const CountResult inner = count_mixed_template(test_graph(), bull(), options);
+  EXPECT_EQ(omp_get_max_threads(), before);
+  options.execution.mode = ParallelMode::kSerial;
+  const CountResult serial = count_mixed_template(test_graph(), bull(), options);
+  EXPECT_EQ(inner.per_iteration, serial.per_iteration);
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
 }
 
 TEST(MixedCounter, LabeledMixedCounting) {

@@ -17,6 +17,7 @@
 #include "core/counter.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
+#include "obs/report.hpp"
 #include "run/checkpoint.hpp"
 #include "run/controls.hpp"
 #include "run/guard.hpp"
@@ -764,6 +765,91 @@ TEST(ResilientCount, MismatchedCheckpointRejectedNotBlended) {
       count_template(g, catalog_entry("U5-1").tree, clean);
   EXPECT_EQ(other.estimate, reference.estimate);
   std::remove(path.c_str());
+}
+
+TEST(ResilientCount, LegacyCountCheckpointRefusedNotBlended) {
+  // Earlier builds wrote count checkpoints under their own kind (job 0
+  // = per-iteration estimates, job 1 = per-vertex sums) and fingerprint.
+  // The one driver refuses them, and the run restarts to exactly the
+  // estimate a fresh run gives.
+  const Graph g = test_graph();
+  const TreeTemplate& tree = catalog_entry("U5-1").tree;
+  const std::string path = temp_path("fascia_legacy_count.bin");
+  for (const bool per_vertex : {false, true}) {
+    std::remove(path.c_str());
+    CountOptions fresh_options = base_options();
+    fresh_options.sampling.iterations = 6;
+    fresh_options.per_vertex = per_vertex;
+    const CountResult fresh = count_template(g, tree, fresh_options);
+
+    const int k = tree.size();
+    std::uint64_t fp = run::kFingerprintSeed;
+    fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindCount});
+    fp = run::fingerprint_mix(fp, tree.describe());
+    fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(g.num_vertices()));
+    fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(g.num_edges()));
+    fp = run::fingerprint_mix(fp, fresh_options.sampling.seed);
+    fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(k));
+    fp = run::fingerprint_mix(fp, std::uint64_t{0});  // root + 1
+    fp = run::fingerprint_mix(
+        fp, static_cast<std::uint64_t>(fresh_options.execution.partition));
+    fp = run::fingerprint_mix(fp, std::uint64_t{1});  // share_tables
+    fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(per_vertex));
+    fp = run::fingerprint_mix(
+        fp, static_cast<std::uint64_t>(fresh_options.execution.table));
+    run::Checkpoint legacy;
+    legacy.kind = run::Checkpoint::kKindCount;
+    legacy.seed = fresh_options.sampling.seed;
+    legacy.num_colors = static_cast<std::uint32_t>(k);
+    legacy.fingerprint = fp;
+    legacy.iterations_done = 4;
+    // Values no real run produces: blending them would show.
+    legacy.per_job.emplace_back(4, 1e12);
+    if (per_vertex) {
+      legacy.per_job.emplace_back(static_cast<std::size_t>(g.num_vertices()),
+                                  1e12);
+    }
+    run::save_checkpoint(path, legacy);
+
+    CountOptions resuming = fresh_options;
+    resuming.run.checkpoint_path = path;
+    resuming.run.resume = true;
+    const CountResult resumed = count_template(g, tree, resuming);
+    EXPECT_FALSE(resumed.run.resumed) << "per_vertex " << per_vertex;
+    EXPECT_FALSE(resumed.run.resume_rejected.empty());
+    EXPECT_EQ(resumed.run.status, RunStatus::kCompleted);
+    EXPECT_EQ(resumed.run.completed_iterations, 6);
+    EXPECT_EQ(resumed.per_iteration, fresh.per_iteration);
+    EXPECT_EQ(resumed.estimate, fresh.estimate);
+    EXPECT_EQ(resumed.vertex_counts, fresh.vertex_counts);
+
+    // The restarted run left a checkpoint in the current format.
+    const auto rewritten = run::load_checkpoint(path);
+    ASSERT_TRUE(rewritten.has_value());
+    EXPECT_EQ(rewritten->kind, run::Checkpoint::kKindBatch);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MemoryPlan, PlainRunRecordsPlannedPeak) {
+  // No budget: the ladder stays off, but the plan's estimate is still
+  // recorded for the run report.
+  const Graph g = test_graph();
+  const TreeTemplate& tree = catalog_entry("U5-2").tree;
+  const CountResult count = count_template(g, tree, base_options());
+  EXPECT_EQ(count.run.status, RunStatus::kCompleted);
+  EXPECT_TRUE(count.run.degradations.empty());
+  EXPECT_GT(count.run.estimated_peak_bytes, 0u);
+  ASSERT_NE(count.report, nullptr);
+  EXPECT_EQ(count.report->memory.planned_peak_bytes,
+            count.run.estimated_peak_bytes);
+
+  std::vector<sched::BatchJob> jobs(1);
+  jobs[0].tmpl = tree;
+  jobs[0].iterations = 2;
+  const sched::BatchResult batch = sched::run_batch(g, jobs);
+  EXPECT_GT(batch.run.estimated_peak_bytes, 0u);
+  EXPECT_TRUE(batch.run.degradations.empty());
 }
 
 // ---- run_batch under controls --------------------------------------------

@@ -14,6 +14,10 @@
 #include "util/stats.hpp"
 #include "util/error.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace fascia {
 namespace {
 
@@ -103,6 +107,67 @@ TEST(Sched, DeterministicAcrossModesAndThreads) {
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     EXPECT_EQ(a.jobs[j].per_iteration, b.jobs[j].per_iteration);
     EXPECT_EQ(a.jobs[j].per_iteration, c.jobs[j].per_iteration);
+  }
+}
+
+TEST(Sched, LeavesOmpThreadCountUnchanged) {
+#ifdef _OPENMP
+  // Threads reach the engines through DpEngineOptions::inner_threads
+  // only: no entry point may reset the caller's OpenMP default.
+  const int before = omp_get_max_threads();
+  const int pinned = before > 1 ? 1 : 2;
+  const Graph g = test_graph();
+  const auto jobs = fixed_jobs(5, 2);
+  for (ParallelMode mode : {ParallelMode::kSerial, ParallelMode::kInnerLoop,
+                            ParallelMode::kOuterLoop, ParallelMode::kHybrid}) {
+    sched::BatchOptions batch;
+    batch.mode = mode;
+    batch.num_threads = pinned;
+    sched::run_batch(g, jobs, batch);
+    EXPECT_EQ(omp_get_max_threads(), before)
+        << "run_batch " << parallel_mode_name(mode);
+
+    CountOptions count;
+    count.sampling.iterations = 2;
+    count.execution.mode = mode;
+    count.execution.threads = pinned;
+    count_template(g, jobs.front().tmpl, count);
+    EXPECT_EQ(omp_get_max_threads(), before)
+        << "count_template " << parallel_mode_name(mode);
+  }
+#else
+  GTEST_SKIP() << "built without OpenMP";
+#endif
+}
+
+TEST(Sched, HybridLayoutMatchesCountTemplate) {
+  // Both entry points take the hybrid split from the driver's one
+  // occupancy model, so a one-job batch and count_template agree on
+  // the layout as well as on every estimate.
+  const Graph small = test_graph();
+  const Graph large = erdos_renyi_gnm(20000, 40000, 3);
+  const TreeTemplate tmpl = all_free_trees(5).front();
+  for (const Graph* g : {&small, &large}) {
+    for (int iterations : {3, 8}) {
+      CountOptions count;
+      count.sampling.iterations = iterations;
+      count.sampling.seed = 21;
+      count.execution.mode = ParallelMode::kHybrid;
+      count.execution.threads = 4;
+      const CountResult direct = count_template(*g, tmpl, count);
+
+      sched::BatchOptions options;
+      options.mode = ParallelMode::kHybrid;
+      options.num_threads = 4;
+      options.seed = 21;
+      const sched::BatchResult batch =
+          sched::run_batch(*g, {{tmpl, iterations}}, options);
+      EXPECT_EQ(direct.layout.outer_copies, batch.layout.outer_copies)
+          << g->num_vertices() << " vertices, " << iterations << " its";
+      EXPECT_EQ(direct.layout.inner_threads, batch.layout.inner_threads)
+          << g->num_vertices() << " vertices, " << iterations << " its";
+      EXPECT_EQ(direct.per_iteration, batch.jobs[0].per_iteration);
+    }
   }
 }
 
