@@ -98,6 +98,9 @@ class Graph {
   /// Logical memory held by the CSR arrays (for reports).
   [[nodiscard]] std::size_t bytes() const noexcept;
 
+  /// Same CSR (offsets, adjacency), labels and version.
+  bool operator==(const Graph&) const = default;
+
  private:
   std::vector<EdgeCount> offsets_;
   std::vector<VertexId> adjacency_;

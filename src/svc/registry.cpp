@@ -42,14 +42,19 @@ void GraphRegistry::evict_locked(std::size_t incoming_bytes) {
         [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; });
     resident_bytes_ -= victim->bytes;
     ++evictions_;
-    if (victim->graph) {
-      // A running job may outlive the eviction through its shared_ptr;
-      // remember the copy weakly so a re-register can reconcile against
-      // it instead of duplicating the allocation.
-      held_.push_back({victim->key, victim->graph});
-    }
+    let_go_locked(*victim);
     entries_.erase(victim);
   }
+}
+
+void GraphRegistry::let_go_locked(const Entry& entry) {
+  // Only the registry's reference is about to drop.  A copy nobody
+  // else holds dies with the entry (and, with mutex_ held, nobody can
+  // take a new reference to it); any other copy stays in memory, so
+  // remember it weakly for stats() and resurrection.
+  if (!entry.graph || entry.graph.use_count() == 1) return;
+  std::erase_if(held_, [](const HeldGraph& h) { return h.graph.expired(); });
+  held_.push_back({entry.key, entry.graph, entry.bytes});
 }
 
 std::shared_ptr<const Graph> GraphRegistry::put(const std::string& name,
@@ -59,30 +64,6 @@ std::shared_ptr<const Graph> GraphRegistry::put(const std::string& name,
   const std::string key = "g:" + name;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  // Reconcile against an evicted-but-held copy: if some job still holds
-  // the graph this name used to resolve to and the caller is re-putting
-  // the SAME graph (version + shape match), adopt the held copy so the
-  // process carries one allocation, not two, and the accounting matches
-  // reality.  A different version (e.g. after mutate_graph) never
-  // matches and is admitted as the new graph it is.
-  for (auto it = held_.begin(); it != held_.end();) {
-    std::shared_ptr<const Graph> held = it->graph.lock();
-    if (!held) {
-      it = held_.erase(it);
-      continue;
-    }
-    if (it->key == key && held->version() == shared->version() &&
-        held->num_vertices() == shared->num_vertices() &&
-        held->num_edges() == shared->num_edges() &&
-        held->has_labels() == shared->has_labels()) {
-      shared = std::move(held);
-      bytes = shared->bytes();
-      ++resurrections_;
-      it = held_.erase(it);
-      continue;
-    }
-    ++it;
-  }
   // Replace first (so the old copy does not count against the budget
   // while making room), dropping the graph's cached permutations too.
   const std::string perm_prefix = "p:" + name + ":";
@@ -90,10 +71,33 @@ std::shared_ptr<const Graph> GraphRegistry::put(const std::string& name,
     if (it->key == key || it->key.compare(0, perm_prefix.size(),
                                           perm_prefix) == 0) {
       resident_bytes_ -= it->bytes;
+      let_go_locked(*it);
       it = entries_.erase(it);
     } else {
       ++it;
     }
+  }
+  // Reconcile against a let-go-but-held copy: if something still holds
+  // a graph this name used to resolve to and the caller is re-putting
+  // identical content (same CSR, labels and version), adopt the held
+  // copy so the process carries one allocation, not two.  Anything
+  // else — another version, or the same version reached by a different
+  // delta after a reload — is admitted as the new graph it is.
+  for (auto it = held_.begin(); it != held_.end();) {
+    std::shared_ptr<const Graph> held = it->graph.lock();
+    if (!held) {
+      it = held_.erase(it);
+      continue;
+    }
+    if (it->key == key && held->version() == shared->version() &&
+        *held == *shared) {
+      shared = std::move(held);
+      bytes = shared->bytes();
+      ++resurrections_;
+      held_.erase(it);
+      break;
+    }
+    ++it;
   }
   evict_locked(bytes);
   Entry entry;
@@ -139,6 +143,7 @@ bool GraphRegistry::erase(const std::string& name) {
     if (is_graph || is_perm) {
       found = found || is_graph;
       resident_bytes_ -= it->bytes;
+      let_go_locked(*it);
       it = entries_.erase(it);
     } else {
       ++it;
@@ -248,6 +253,11 @@ GraphRegistry::Stats GraphRegistry::stats() {
   out.misses = misses_;
   out.evictions = evictions_;
   out.resurrections = resurrections_;
+  std::erase_if(held_, [](const HeldGraph& h) { return h.graph.expired(); });
+  for (const HeldGraph& held : held_) {
+    ++out.held_graphs;
+    out.held_bytes += held.bytes;
+  }
   return out;
 }
 

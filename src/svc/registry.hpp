@@ -21,6 +21,10 @@
 // eviction.  Eviction drops the registry's reference only: entries
 // hand out shared_ptr, so a running job keeps its evicted graph alive
 // until it finishes — eviction can never invalidate in-flight work.
+// Every graph copy the registry lets go while something still holds
+// it (evicted, replaced by a put of the same name, erased) is tracked
+// weakly and reported as held_graphs/held_bytes, so memory that
+// outlives its registry entry is visible rather than silent.
 // The accounting is deliberately internal (not routed through the
 // process MemTracker): registry residency is service state, not run
 // state, and charging it to the run-layer tracker would perturb every
@@ -85,9 +89,14 @@ class GraphRegistry {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    /// Re-registers served by resurrecting an evicted-but-held copy
-    /// instead of admitting a duplicate allocation.
+    /// Re-registers served by resurrecting a let-go-but-held copy with
+    /// identical content instead of admitting a duplicate allocation.
     std::uint64_t resurrections = 0;
+    /// Graph copies the registry let go (evicted, replaced, erased)
+    /// that something outside it still keeps alive, and their bytes.
+    /// Not part of resident_bytes.
+    std::size_t held_graphs = 0;
+    std::size_t held_bytes = 0;
   };
   [[nodiscard]] Stats stats();
 
@@ -98,6 +107,7 @@ class GraphRegistry {
   struct Entry;
   void touch_locked(Entry& entry);
   void evict_locked(std::size_t incoming_bytes);
+  void let_go_locked(const Entry& entry);
 
   struct Entry {
     std::string key;
@@ -111,15 +121,16 @@ class GraphRegistry {
   std::mutex mutex_;
   std::vector<Entry> entries_;
 
-  /// Evicted graphs that running jobs may still hold alive.  Eviction
-  /// only drops the registry's strong reference, so a re-register of
-  /// the same graph would otherwise build a SECOND resident copy while
-  /// the accounting sees one — put() locks these to resurrect the held
-  /// copy instead, reconciling bytes and LRU with what is actually in
-  /// memory.  Expired pointers are pruned opportunistically.
+  /// Graphs the registry let go (evicted, replaced, erased) that were
+  /// still held elsewhere at the time.  Dropping the registry's strong
+  /// reference does not free them, so stats() counts the live ones,
+  /// and a re-register of identical content resurrects the held copy
+  /// instead of building a second one.  Expired pointers are pruned
+  /// opportunistically.
   struct HeldGraph {
     std::string key;
     std::weak_ptr<const Graph> graph;
+    std::size_t bytes = 0;
   };
   std::vector<HeldGraph> held_;
 

@@ -438,6 +438,8 @@ void Server::handle_status(int fd, const Json& request) {
     registry["misses"] = stats.misses;
     registry["evictions"] = stats.evictions;
     registry["resurrections"] = stats.resurrections;
+    registry["held_graphs"] = stats.held_graphs;
+    registry["held_bytes"] = stats.held_bytes;
     out["registry"] = std::move(registry);
     Json names = Json::array();
     Json versions = Json::object();

@@ -63,8 +63,12 @@ struct Service::Record {
   std::string error;
   std::optional<CountResult> count;
   std::optional<sched::BatchResult> batch;
-  /// Pinned at submit so registry eviction cannot pull the graph out
-  /// from under a queued or running job.
+  /// The graph version the job was admitted against, pinned at submit
+  /// so neither eviction nor mutate_graph can pull it out from under a
+  /// queued, running or preempted job (a preempted job resumes on the
+  /// same version).  finish_locked() releases it on every terminal
+  /// transition.  Recount jobs hold none: they read the current version
+  /// when they run.
   std::shared_ptr<const Graph> graph;
 };
 
@@ -190,12 +194,15 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
 
   auto record = std::make_unique<Record>();
   record->spec = std::move(spec);
-  record->graph = registry_.get(record->spec.graph);
-  if (!record->graph) {
-    throw usage_error("unknown graph '" + record->spec.graph +
-                      "' — load_graph it first");
-  }
+  const auto unknown_graph = [&] {
+    return usage_error("unknown graph '" + record->spec.graph +
+                       "' — load_graph it first");
+  };
   if (record->spec.kind == JobKind::kRecount) {
+    // No pin: execute_recount reads the current version under the
+    // mutation lock, so pinning the submit-time one would only keep a
+    // superseded copy alive.
+    if (!registry_.contains(record->spec.graph)) throw unknown_graph();
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = retained_.find(record->spec.recount_of);
     record->estimated_peak_bytes =
@@ -210,6 +217,8 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
     }
     return record;
   }
+  record->graph = registry_.get(record->spec.graph);
+  if (!record->graph) throw unknown_graph();
 
   const VertexId n = record->graph->num_vertices();
   const auto quote = [&](TableKind table) -> std::size_t {
@@ -476,13 +485,25 @@ bool Service::pick_ready_unsafe() const {
   return false;
 }
 
+std::shared_ptr<const Graph> Service::finish_locked(Record& record,
+                                                    JobState state) {
+  record.state = state;
+  return std::move(record.graph);
+}
+
 void Service::execute(Record& record) {
   // The run itself happens with the service lock released; the record
-  // is stable (owned by records_, never erased) and the fields touched
-  // here are worker-private while state == kRunning.
+  // is stable (owned by records_, never erased), and its spec and graph
+  // pin are worker-private while state == kRunning.  The run reads the
+  // pinned version the job was admitted against; a recount has no pin
+  // and reads the current version instead.  Results land in locals and
+  // reach the record only under the lock: snapshot_locked reads the
+  // record's result slots while the job runs.
   JobState final_state = JobState::kCompleted;
   std::string error;
   bool ran_cancelled = false;
+  std::optional<CountResult> count;
+  std::optional<sched::BatchResult> batch;
 
   try {
     if (record.spec.kind == JobKind::kBatch) {
@@ -507,9 +528,9 @@ void Service::execute(Record& record) {
       sched::BatchResult result =
           sched::run_batch(*record.graph, record.spec.batch_jobs, options);
       ran_cancelled = result.status() == RunStatus::kCancelled;
-      record.batch.emplace(std::move(result));
+      batch.emplace(std::move(result));
     } else if (record.spec.kind == JobKind::kRecount) {
-      record.count.emplace(execute_recount(record));
+      count.emplace(execute_recount(record));
     } else if (record.spec.kind == JobKind::kCount &&
                record.spec.options.execution.incremental) {
       // No cancel/checkpoint wiring: begin_incremental validates that
@@ -518,7 +539,7 @@ void Service::execute(Record& record) {
       // in the retained-run pool so recount jobs can advance it.
       RunHandle handle = begin_incremental(*record.graph, record.spec.tmpl,
                                            record.spec.options);
-      record.count.emplace(handle.result());
+      count.emplace(handle.result());
       std::lock_guard<std::mutex> lock(mutex_);
       retain_locked(record.id,
                     std::make_unique<RunHandle>(std::move(handle)),
@@ -538,7 +559,7 @@ void Service::execute(Record& record) {
               ? graphlet_degrees(*record.graph, record.spec.tmpl, options)
               : count_template(*record.graph, record.spec.tmpl, options);
       ran_cancelled = result.status() == RunStatus::kCancelled;
-      record.count.emplace(std::move(result));
+      count.emplace(std::move(result));
     }
   } catch (const std::exception& e) {
     final_state = JobState::kFailed;
@@ -549,43 +570,46 @@ void Service::execute(Record& record) {
   // fsync; holding the service mutex across disk writes would stall
   // every submitter and waiter).
   std::optional<JournalKind> post_kind;
+  std::shared_ptr<const Graph> unpinned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (final_state == JobState::kFailed) {
-      record.state = JobState::kFailed;
       record.error = std::move(error);
+      unpinned = finish_locked(record, JobState::kFailed);
       post_kind = JournalKind::kFinished;
-    } else if (ran_cancelled) {
-      if (record.preempt_requested && !record.cancel_requested) {
-        record.preempt_requested = false;
-        record.resume_next = true;
-        record.cancel.reset();
-        record.count.reset();
-        record.batch.reset();
-        record.state = JobState::kPreempted;
-        post_kind = JournalKind::kCheckpointed;
-        if (!stopping_ && !draining_) {
-          // Yielded for interactive work: re-arm and requeue at the
-          // front of its class; the next run resumes from the
-          // checkpoint (or from scratch if none was written yet —
-          // same bits either way).
-          ++record.preemptions;
-          queue_batch_.push_front(record.id);
-          dispatch_cv_.notify_one();
-        }
-        // Draining/stopping: parked.  No kFinished record — the job is
-        // not done, and its absence is what makes the journal replay
-        // (and checkpoint-resume) it after restart.
-      } else {
-        record.state = JobState::kCancelled;  // honest-partial result kept
-        post_kind = JournalKind::kFinished;
+    } else if (ran_cancelled && record.preempt_requested &&
+               !record.cancel_requested) {
+      // The partial result is dropped; the next run resumes.
+      record.preempt_requested = false;
+      record.resume_next = true;
+      record.cancel.reset();
+      record.state = JobState::kPreempted;
+      post_kind = JournalKind::kCheckpointed;
+      if (!stopping_ && !draining_) {
+        // Yielded for interactive work: re-arm and requeue at the
+        // front of its class; the next run resumes from the
+        // checkpoint (or from scratch if none was written yet —
+        // same bits either way).
+        ++record.preemptions;
+        queue_batch_.push_front(record.id);
+        dispatch_cv_.notify_one();
       }
+      // Draining/stopping: parked.  No kFinished record — the job is
+      // not done, and its absence is what makes the journal replay
+      // (and checkpoint-resume) it after restart.
     } else {
-      record.state = JobState::kCompleted;
+      // A cancelled run keeps its honest-partial result.
+      record.count = std::move(count);
+      record.batch = std::move(batch);
+      unpinned = finish_locked(record, ran_cancelled ? JobState::kCancelled
+                                                     : JobState::kCompleted);
       post_kind = JournalKind::kFinished;
     }
-    state_cv_.notify_all();
   }
+  // A superseded graph version frees here, outside the service lock,
+  // and before waiters wake.
+  unpinned.reset();
+  state_cv_.notify_all();
   if (post_kind == JournalKind::kFinished) {
     journal_event(JournalKind::kFinished, record.id,
                   job_state_name(record.state));
@@ -595,7 +619,7 @@ void Service::execute(Record& record) {
 }
 
 bool Service::cancel(JobId id) {
-  bool journal_finished = false;
+  std::shared_ptr<const Graph> unpinned;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = records_.find(id);
@@ -605,16 +629,15 @@ bool Service::cancel(JobId id) {
     record.cancel_requested = true;
     if (record.state == JobState::kRunning) {
       record.cancel.request();  // worker finalizes at the next boundary
-    } else {
-      record.state = JobState::kCancelled;  // queued/preempted: immediate
-      journal_finished = true;
-      state_cv_.notify_all();
+      return true;
     }
+    // Queued/preempted: immediate.
+    unpinned = finish_locked(record, JobState::kCancelled);
   }
-  if (journal_finished) {
-    journal_event(JournalKind::kFinished, id,
-                  job_state_name(JobState::kCancelled));
-  }
+  unpinned.reset();
+  state_cv_.notify_all();
+  journal_event(JournalKind::kFinished, id,
+                job_state_name(JobState::kCancelled));
   return true;
 }
 
@@ -824,10 +847,12 @@ Service::Mutation Service::mutate_graph(const std::string& name,
   }
   // Copy, apply (validates first — a malformed delta escapes here and
   // the registered graph is untouched), then swap the mutated copy in.
-  // Running jobs keep counting their pinned pre-mutation shared_ptr;
-  // the re-register drops the registry's cached reorder permutations
-  // for this name, which were keyed on the old adjacency.
+  // Jobs admitted earlier keep counting their pinned pre-mutation
+  // version until they finish; the re-register drops the registry's
+  // cached reorder permutations for this name, which were keyed on the
+  // old adjacency.
   Graph mutated = *current;
+  current.reset();  // nothing keeps the superseded version alive here
   mutated.apply(delta);
   const std::uint64_t new_version = mutated.version();
   registry_.put(name, std::move(mutated));
@@ -1046,9 +1071,9 @@ void Service::recover() {
       // instead of silently dropping accepted work.
       auto dead = std::make_unique<Record>();
       if (spec) dead->spec = std::move(*spec);
-      dead->state = JobState::kFailed;
       dead->error = "journal replay: " + failure;
       std::lock_guard<std::mutex> lock(mutex_);
+      finish_locked(*dead, JobState::kFailed);  // never pinned a graph
       const JobId id = next_id_++;
       dead->id = id;
       if (!dead->spec.request_id.empty()) {
@@ -1061,6 +1086,7 @@ void Service::recover() {
 
 void Service::shutdown() {
   std::vector<JobId> cancelled_ids;
+  std::vector<std::shared_ptr<const Graph>> unpinned;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (!stopping_) {
@@ -1072,8 +1098,8 @@ void Service::shutdown() {
               !record->cancel_requested) {
             continue;  // journaled: stays queued, replays after restart
           }
-          record->state = JobState::kCancelled;
           record->cancel_requested = true;
+          unpinned.push_back(finish_locked(*record, JobState::kCancelled));
           cancelled_ids.push_back(id);
         } else if (record->state == JobState::kRunning) {
           if (record->spec.priority == Priority::kBatch &&
@@ -1107,6 +1133,7 @@ void Service::shutdown() {
       }
     }
   }
+  unpinned.clear();
   for (JobId id : cancelled_ids) {
     journal_event(JournalKind::kFinished, id,
                   job_state_name(JobState::kCancelled));

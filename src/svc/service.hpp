@@ -263,6 +263,10 @@ class Service {
   bool admissible_locked(const Record& record) const;
   void maybe_preempt_locked();
   void execute(Record& record);
+  /// The one terminal transition: sets `state` and moves the record's
+  /// graph pin out, so the caller drops it after releasing mutex_.
+  static std::shared_ptr<const Graph> finish_locked(Record& record,
+                                                    JobState state);
   static JobInfo snapshot_locked(const Record& record);
   [[nodiscard]] const Record& record_checked(JobId id) const;
   std::unique_ptr<Record> build_record(JobSpec spec);

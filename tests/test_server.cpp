@@ -268,6 +268,12 @@ TEST(SvcServer, LoadGraphCachesByNameAndStatusSeesIt) {
   const Json* registry = status.find("registry");
   ASSERT_NE(registry, nullptr);
   EXPECT_EQ(registry->get_int("graphs"), 1);
+  for (const char* key :
+       {"resident_bytes", "budget_bytes", "graphs", "permutations",
+        "partitions", "hits", "misses", "evictions", "resurrections",
+        "held_graphs", "held_bytes"}) {
+    EXPECT_NE(registry->find(key), nullptr) << key;
+  }
   const Json* names = status.find("graph_names");
   ASSERT_NE(names, nullptr);
   ASSERT_EQ(names->size(), 1u);
@@ -388,6 +394,41 @@ TEST(SvcServer, MutateGraphAndRecountOverTheWire) {
   EXPECT_EQ(stats->get_int("graph_version"), 1);
   EXPECT_EQ(stats->get_int("applied_edges"), 1);
   EXPECT_GT(stats->get_int("dirty_vertices"), 0);
+  server.stop();
+}
+
+TEST(SvcServer, StatusHoldsNoGraphCopiesAfterMutateHeavyRun) {
+  Graph mirror = erdos_renyi_gnm(500, 2000, 37);
+  svc::Server::Config config;
+  svc::Server server(config);
+  server.service().registry().put("g", erdos_renyi_gnm(500, 2000, 37));
+  server.start();
+  svc::Client client = svc::Client::connect_tcp("127.0.0.1", server.port());
+
+  Json seed_req = count_request("g", "U5-1", 2, 5);
+  seed_req["options"]["incremental"] = true;
+  const Json seeded = client.request(seed_req);
+  ASSERT_TRUE(seeded.get_bool("ok"));
+  Json recount = Json::object();
+  recount["op"] = "recount";
+  recount["recount_of"] = seeded.get_int("job");
+
+  // Each round supersedes a graph version and recounts; once every job
+  // is idle no superseded copy may outlive its registry entry.
+  for (int round = 0; round < 3; ++round) {
+    const Edge gone = edge_list(mirror)[static_cast<std::size_t>(round)];
+    GraphDelta delta;
+    delta.remove(gone.first, gone.second);
+    mirror.apply(delta);
+    ASSERT_TRUE(client.mutate_graph("g", svc::delta_to_json(delta), 0)
+                    .get_bool("ok"));
+    ASSERT_TRUE(client.request(recount).get_bool("ok"));
+  }
+  const Json status = client.status();
+  const Json* registry = status.find("registry");
+  ASSERT_NE(registry, nullptr);
+  EXPECT_EQ(registry->get_int("held_graphs", -1), 0);
+  EXPECT_EQ(registry->get_int("held_bytes", -1), 0);
   server.stop();
 }
 

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -681,6 +682,214 @@ TEST(SvcRegistry, ReRegisterResurrectsHeldEvictedGraph) {
   EXPECT_EQ(registry.stats().resurrections, 1u);
   EXPECT_TRUE(registry.contains("g"));
   EXPECT_LE(registry.stats().resident_bytes, registry.stats().budget_bytes);
+}
+
+TEST(SvcRegistry, ReRegisterWithDifferentEdgesIsNotResurrected) {
+  // Same name, version, n, m and label flag, different edges: a reload
+  // must serve the new content, never the held copy of the old one.
+  svc::GraphRegistry registry(1);  // every put evicts the previous graph
+  auto path = registry.put("g", build_graph(4, {{0, 1}, {1, 2}, {2, 3}}));
+  registry.put("h", build_graph(4, {{0, 1}}));
+  EXPECT_FALSE(registry.contains("g"));  // evicted; `path` keeps it alive
+  EXPECT_EQ(registry.stats().held_graphs, 1u);
+  EXPECT_EQ(registry.stats().held_bytes, path->bytes());
+
+  registry.put("g", build_graph(4, {{0, 1}, {0, 2}, {0, 3}}));  // a star
+  const auto got = registry.get("g");
+  ASSERT_NE(got, nullptr);
+  EXPECT_NE(got.get(), path.get());
+  EXPECT_TRUE(got->has_edge(0, 3));
+  EXPECT_FALSE(got->has_edge(2, 3));
+  EXPECT_EQ(registry.stats().resurrections, 0u);
+}
+
+TEST(SvcRegistry, ReloadThenMutateToTheSameVersionIsNotResurrected) {
+  const Graph base = build_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  svc::GraphRegistry registry;
+  registry.put("g", base);
+  GraphDelta first;
+  first.insert(0, 2);
+  Graph a = *registry.get("g");
+  a.apply(first);
+  auto held_a = registry.put("g", a);  // version 1 via `first`
+
+  // Reload: the replaced version-1 copy is still held, and counted.
+  registry.put("g", base);
+  EXPECT_EQ(registry.stats().held_graphs, 1u);
+  EXPECT_EQ(registry.stats().held_bytes, held_a->bytes());
+
+  // Version 1 again, reached by a different delta of the same size.
+  GraphDelta second;
+  second.insert(1, 3);
+  Graph b = *registry.get("g");
+  b.apply(second);
+  registry.put("g", std::move(b));
+  auto got = registry.get("g");
+  EXPECT_NE(got.get(), held_a.get());
+  EXPECT_TRUE(got->has_edge(1, 3));
+  EXPECT_FALSE(got->has_edge(0, 2));
+  EXPECT_EQ(registry.stats().resurrections, 0u);
+
+  // Identical content does resurrect the held copy.
+  EXPECT_EQ(registry.put("g", std::move(a)).get(), held_a.get());
+  EXPECT_EQ(registry.stats().resurrections, 1u);
+
+  // Held stats count only live copies: `got` keeps the replaced one.
+  EXPECT_EQ(registry.stats().held_graphs, 1u);
+  EXPECT_EQ(registry.stats().held_bytes, got->bytes());
+  got.reset();
+  EXPECT_EQ(registry.stats().held_graphs, 0u);
+  EXPECT_EQ(registry.stats().held_bytes, 0u);
+}
+
+// ---- graph pin lifetime ----------------------------------------------------
+
+TEST(SvcService, FinishedJobsReleaseTheirGraphVersion) {
+  const TreeTemplate tmpl = catalog_entry("U5-1").tree;
+  svc::Service service({});
+  service.registry().put("g", erdos_renyi_gnm(400, 1600, 11));
+  const svc::JobId base_id = service.submit(incremental_spec("g", tmpl, 2));
+  ASSERT_EQ(service.wait(base_id).state, svc::JobState::kCompleted);
+
+  // Each mutate_graph + recount supersedes a version; once the recount
+  // is done nothing may keep the superseded copy alive.
+  for (unsigned round = 0; round < 4; ++round) {
+    const std::weak_ptr<const Graph> version = service.registry().get("g");
+    service.mutate_graph(
+        "g", 0, simple_delta(*service.registry().get("g"), 60 + round));
+    const svc::JobId id = service.submit(recount_spec(base_id));
+    ASSERT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+    EXPECT_TRUE(version.expired()) << "round " << round;
+  }
+
+  // Every other terminal path: the job pins the version it was admitted
+  // against, a mutation supersedes it, and the terminal state lets go.
+  unsigned salt = 70;
+  const auto expect_released = [&](svc::JobSpec spec, svc::JobState state) {
+    const std::string kind = svc::job_kind_name(spec.kind);
+    const std::weak_ptr<const Graph> version = service.registry().get("g");
+    const svc::JobId id = service.submit(std::move(spec));
+    service.mutate_graph("g", 0,
+                         simple_delta(*service.registry().get("g"), ++salt));
+    EXPECT_EQ(service.wait(id).state, state) << kind;
+    EXPECT_TRUE(version.expired()) << kind;
+  };
+  expect_released(count_spec("g", tmpl, 2), svc::JobState::kCompleted);
+
+  svc::JobSpec gdd = count_spec("g", tmpl, 2);
+  gdd.kind = svc::JobKind::kGdd;
+  gdd.options.root = 0;
+  expect_released(gdd, svc::JobState::kCompleted);
+
+  svc::JobSpec batch;
+  batch.kind = svc::JobKind::kBatch;
+  batch.graph = "g";
+  batch.preemptible = false;
+  batch.batch_jobs.push_back({tmpl, 2});
+  batch.batch_options.mode = ParallelMode::kSerial;
+  expect_released(batch, svc::JobState::kCompleted);
+
+  // A labeled template against an unlabeled graph passes submit and
+  // fails in the run.
+  TreeTemplate labeled = tmpl;
+  labeled.set_labels(std::vector<std::uint8_t>(
+      static_cast<std::size_t>(labeled.size()), 0));
+  expect_released(count_spec("g", labeled, 2), svc::JobState::kFailed);
+
+  // Cancelled while queued: hold the only worker with a long job.
+  svc::Service::Config one_worker;
+  one_worker.workers = 1;
+  svc::Service busy(one_worker);
+  busy.registry().put("g", erdos_renyi_gnm(2500, 20000, 3));
+  const svc::JobId blocker =
+      busy.submit(count_spec("g", catalog_entry("U7-2").tree, 4000));
+  const std::weak_ptr<const Graph> version = busy.registry().get("g");
+  const svc::JobId queued = busy.submit(count_spec("g", tmpl, 2));
+  busy.mutate_graph("g", 0, simple_delta(*busy.registry().get("g"), 90));
+  EXPECT_EQ(busy.info(queued).state, svc::JobState::kQueued);
+  EXPECT_FALSE(version.expired());  // the blocker and the queued job pin it
+  EXPECT_TRUE(busy.cancel(queued));
+  EXPECT_TRUE(busy.cancel(blocker));
+  EXPECT_EQ(busy.wait(queued).state, svc::JobState::kCancelled);
+  EXPECT_EQ(busy.wait(blocker).state, svc::JobState::kCancelled);
+  EXPECT_TRUE(version.expired());
+
+  // With every job idle the registry holds no let-go copies.
+  EXPECT_EQ(service.registry().stats().held_graphs, 0u);
+  EXPECT_EQ(service.registry().stats().held_bytes, 0u);
+  EXPECT_EQ(busy.registry().stats().held_bytes, 0u);
+}
+
+TEST(SvcService, PreemptedJobKeepsItsGraphVersion) {
+  const int kIterations = 60;
+  const TreeTemplate tmpl = catalog_entry("U10-2").tree;
+  const Graph graph = erdos_renyi_gnm(600, 2400, 19);
+
+  CountOptions direct;
+  direct.sampling.iterations = kIterations;
+  direct.sampling.seed = 31;
+  direct.execution.mode = ParallelMode::kSerial;
+  const CountResult expected = count_template(graph, tmpl, direct);
+
+  svc::Service::Config config;
+  config.workers = 1;  // force contention
+  config.work_dir = temp_dir("preempt_version");
+  svc::Service service(config);
+  service.registry().put("g", erdos_renyi_gnm(600, 2400, 19));
+  const std::weak_ptr<const Graph> admitted = service.registry().get("g");
+
+  svc::JobSpec low = count_spec("g", tmpl, kIterations, 31);
+  low.priority = svc::Priority::kBatch;
+  low.preemptible = true;
+  low.options.run.checkpoint_every = 1;
+  const svc::JobId low_id = service.submit(std::move(low));
+
+  // Preempt only after the first checkpoint, so the job really resumes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  bool checkpointed = false;
+  while (!checkpointed && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& entry :
+         std::filesystem::directory_iterator(config.work_dir)) {
+      checkpointed = checkpointed || entry.path().extension() == ".ckpt";
+    }
+    if (!checkpointed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_TRUE(checkpointed) << "batch job never wrote a checkpoint";
+  // A long interactive job keeps the batch job parked while the graph
+  // changes underneath it.
+  svc::JobSpec high = count_spec("g", catalog_entry("U7-2").tree, 200);
+  high.priority = svc::Priority::kInteractive;
+  const svc::JobId high_id = service.submit(std::move(high));
+  while (service.info(low_id).preemptions == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(service.info(low_id).preemptions, 1);
+
+  const GraphDelta delta = simple_delta(graph, 95);
+  service.mutate_graph("g", 0, delta);
+  EXPECT_FALSE(admitted.expired());  // the parked job still pins it
+  EXPECT_EQ(service.wait(high_id).state, svc::JobState::kCompleted);
+
+  const svc::JobInfo low_done = service.wait(low_id);
+  ASSERT_EQ(low_done.state, svc::JobState::kCompleted);
+  EXPECT_TRUE(admitted.expired());
+  const CountResult got = service.count_result(low_id);
+  EXPECT_TRUE(got.run.resumed);
+  ASSERT_EQ(got.per_iteration.size(), expected.per_iteration.size());
+  for (std::size_t i = 0; i < expected.per_iteration.size(); ++i) {
+    ASSERT_EQ(got.per_iteration[i], expected.per_iteration[i]) << i;
+  }
+  EXPECT_EQ(got.estimate, expected.estimate);
+
+  // The mutation does change the count, so the match above is the
+  // admitted version's, not the current one's.
+  Graph mutated = graph;
+  mutated.apply(delta);
+  EXPECT_NE(count_template(mutated, tmpl, direct).estimate, expected.estimate);
 }
 
 // ---- concurrent sessions over the shared obs registry ----------------------
