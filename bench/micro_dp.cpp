@@ -133,8 +133,8 @@ struct Harness {
     ref_opts.collect_stats = true;
     DpEngineOptions fast_opts;
     fast_opts.collect_stats = true;
-    DpEngine<Table> ref_engine(graph, tmpl, partition, k, ref_opts);
-    DpEngine<Table> fast_engine(graph, tmpl, partition, k, fast_opts);
+    DpEngine<Table> ref_engine(graph, partition, k, ref_opts);
+    DpEngine<Table> fast_engine(graph, partition, k, fast_opts);
 
     // Per-stage minimum across the colorings: every run emits the same
     // stage sequence, so the elementwise min is the least-noise
@@ -232,7 +232,7 @@ ObsOverhead measure_obs_overhead(const Graph& graph, int k, int iters) {
   tmpl.set_labels(std::move(labels));
   const PartitionTree partition =
       partition_template(tmpl, PartitionStrategy::kOneAtATime);
-  DpEngine<CompactTable> engine(graph, tmpl, partition, k,
+  DpEngine<CompactTable> engine(graph, partition, k,
                                 DpEngineOptions{});
 
   const int rounds = std::max(8, 2 * iters);

@@ -43,18 +43,6 @@ void CountOptions::validate() const {
                       std::to_string(execution.threads) + ")");
   }
   if (execution.incremental) {
-    if (execution.reference_kernels) {
-      throw usage_error(
-          "execution.incremental requires the frontier kernels; "
-          "reference_kernels retain no frontiers to recount from");
-    }
-    if (execution.mode == ParallelMode::kOuterLoop ||
-        execution.mode == ParallelMode::kHybrid) {
-      throw usage_error(
-          std::string("execution.incremental supports serial/inner "
-                      "parallelism only; mode is ") +
-          parallel_mode_name(execution.mode));
-    }
     if (execution.reorder != ReorderMode::kNone) {
       throw usage_error(
           "execution.incremental and execution.reorder are mutually "

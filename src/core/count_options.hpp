@@ -112,20 +112,12 @@ struct ExecutionOptions {
   /// loop, which decorrelates templates with per-template seeds.
   bool batch_engine = false;
 
-  /// Run the pre-frontier scalar DP kernels instead of the vectorized
-  /// frontier/SoA path (DESIGN.md §8).  Estimates are identical either
-  /// way; the flag exists for bit-identity tests and kernel
-  /// benchmarking, so it is deliberately excluded from checkpoint
-  /// fingerprints.
-  bool reference_kernels = false;
-
   /// Retain per-iteration DP state for incremental recounting after
   /// graph deltas (core/incremental.hpp: begin_incremental /
   /// RunHandle::recount).  Memory grows to iterations x the non-leaf
   /// table set, so it is opt-in.  validate() rejects it combined with
-  /// reference_kernels, kOuterLoop/kHybrid modes, a reorder pass, or
-  /// any armed RunControls — the retained state must be a plain
-  /// inner-parallel pass keyed on original vertex ids.
+  /// a reorder pass or any armed RunControls — the retained state must
+  /// come from complete passes keyed on original vertex ids.
   /// count_template refuses the flag (use begin_incremental).
   bool incremental = false;
 };
@@ -224,10 +216,6 @@ class CountOptions::Builder {
   }
   Builder& batch_engine(bool on) {
     opts_.execution.batch_engine = on;
-    return *this;
-  }
-  Builder& reference_kernels(bool on) {
-    opts_.execution.reference_kernels = on;
     return *this;
   }
   Builder& incremental(bool on) {

@@ -17,10 +17,49 @@ namespace {
 
 std::string format_bool(bool value) { return value ? "true" : "false"; }
 
-/// Report header of a count_template-family run: kind, label and the
-/// option echo; the driver fills everything it measures.
-obs::RunReport report_header(const char* kind, const TreeTemplate& tmpl,
-                             const CountOptions& options) {
+/// count_template and graphlet_degrees: Alg. 1 as a one-job batch on
+/// the shared iteration driver (sched/driver.hpp).
+CountResult count_one(const Graph& graph, const TreeTemplate& tmpl,
+                      const CountOptions& options, const char* kind) {
+  if (options.execution.incremental) {
+    throw usage_error(
+        "count_template does not retain DP state; use begin_incremental "
+        "(core/incremental.hpp) for incremental recounting");
+  }
+  detail::validate_count_inputs(graph, tmpl, options, "count_template");
+  if (options.observability.enabled) obs::set_enabled(true);
+  FASCIA_TRACE("count.run", tmpl.size(), effective_colors(tmpl, options));
+  obs::RunReport header = detail::count_report_header(kind, tmpl, options);
+
+  // The locality pass runs once up front; the driver sees the
+  // reordered graph, while colorings, checkpoints, and per-vertex
+  // outputs stay keyed by original ids, so the estimate is
+  // bit-identical to the unreordered run.
+  if (options.execution.reorder == ReorderMode::kNone) {
+    return detail::drive_count(graph, tmpl, options, std::move(header), {});
+  }
+  WallTimer timer;
+  const Permutation perm =
+      reorder_permutation(graph, options.execution.reorder);
+  const Graph reordered = apply_permutation(graph, perm);
+  const double reorder_seconds = timer.elapsed_s();
+  header.timing.reorder_seconds = reorder_seconds;
+  sched::detail::CountInputs inputs;
+  inputs.perm = &perm;
+  CountResult result = detail::drive_count(reordered, tmpl, options,
+                                           std::move(header), inputs);
+  result.reorder_seconds = reorder_seconds;
+  result.reorder_gap_before = avg_neighbor_gap(graph);
+  result.reorder_gap_after = avg_neighbor_gap(reordered);
+  return result;
+}
+
+}  // namespace
+
+namespace detail {
+
+obs::RunReport count_report_header(const char* kind, const TreeTemplate& tmpl,
+                                   const CountOptions& options) {
   obs::RunReport header;
   header.kind = kind;
   header.label = options.observability.label;
@@ -39,8 +78,6 @@ obs::RunReport report_header(const char* kind, const TreeTemplate& tmpl,
       {"execution.reorder", reorder_mode_name(options.execution.reorder)},
       {"execution.outer_copies",
        std::to_string(options.execution.outer_copies)},
-      {"execution.reference_kernels",
-       format_bool(options.execution.reference_kernels)},
       {"root", std::to_string(options.root)},
       {"per_vertex", format_bool(options.per_vertex)},
   };
@@ -58,22 +95,11 @@ obs::RunReport report_header(const char* kind, const TreeTemplate& tmpl,
   return header;
 }
 
-/// count_template and graphlet_degrees: Alg. 1 as a one-job batch on
-/// the shared iteration driver (sched/driver.hpp).
-CountResult count_one(const Graph& graph, const TreeTemplate& tmpl,
-                      const CountOptions& options, const char* kind) {
-  if (options.execution.incremental) {
-    throw usage_error(
-        "count_template does not retain DP state; use begin_incremental "
-        "(core/incremental.hpp) for incremental recounting");
-  }
-  detail::validate_count_inputs(graph, tmpl, options, "count_template");
-  if (options.observability.enabled) obs::set_enabled(true);
-  const int k = effective_colors(tmpl, options);
-  FASCIA_TRACE("count.run", tmpl.size(), k);
-
+CountResult drive_count(const Graph& graph, const TreeTemplate& tmpl,
+                        const CountOptions& options, obs::RunReport header,
+                        sched::detail::CountInputs inputs) {
   sched::BatchOptions batch;
-  batch.num_colors = k;
+  batch.num_colors = effective_colors(tmpl, options);
   batch.table = options.execution.table;
   batch.partition = options.execution.partition;
   batch.share_tables = options.execution.share_tables;
@@ -83,43 +109,20 @@ CountResult count_one(const Graph& graph, const TreeTemplate& tmpl,
   batch.mode = options.execution.mode;
   batch.num_threads = options.execution.threads;
   batch.seed = options.sampling.seed;
-  batch.reference_kernels = options.execution.reference_kernels;
   batch.run = options.run;
   batch.observability = options.observability;
   std::vector<sched::BatchJob> jobs(1);
   jobs[0].tmpl = tmpl;
   jobs[0].iterations = options.sampling.iterations;
-
-  sched::detail::CountInputs inputs;
   inputs.root = options.root;
   inputs.per_vertex = options.per_vertex;
   inputs.outer_copies = options.execution.outer_copies;
-  obs::RunReport header = report_header(kind, tmpl, options);
-
-  // The locality pass runs once up front; the driver sees the
-  // reordered graph, while colorings, checkpoints, and per-vertex
-  // outputs stay keyed by original ids, so the estimate is
-  // bit-identical to the unreordered run.
-  CountResult result;
-  const Graph* run_graph = &graph;
-  Permutation perm;
-  Graph reordered;
-  if (options.execution.reorder != ReorderMode::kNone) {
-    WallTimer timer;
-    perm = reorder_permutation(graph, options.execution.reorder);
-    reordered = apply_permutation(graph, perm);
-    result.reorder_seconds = timer.elapsed_s();
-    result.reorder_gap_before = avg_neighbor_gap(graph);
-    result.reorder_gap_after = avg_neighbor_gap(reordered);
-    header.timing.reorder_seconds = result.reorder_seconds;
-    inputs.perm = &perm;
-    run_graph = &reordered;
-  }
 
   sched::detail::CountOutputs outputs;
   sched::BatchResult batch_result = sched::detail::drive(
-      *run_graph, jobs, batch, std::move(header), &inputs, &outputs);
+      graph, jobs, batch, std::move(header), &inputs, &outputs);
   sched::BatchJobResult& job = batch_result.jobs.front();
+  CountResult result;
   result.estimate = batch_result.estimate;
   result.relative_stderr = batch_result.relative_stderr;
   result.run = std::move(batch_result.run);
@@ -136,12 +139,12 @@ CountResult count_one(const Graph& graph, const TreeTemplate& tmpl,
   result.max_live_tables = outputs.max_live_tables;
   result.num_subtemplates = outputs.num_subtemplates;
   result.layout = batch_result.layout;
+  const obs::RunReport::Delta& delta = result.report->delta;
+  result.delta = {delta.applied_edges,     delta.dirty_vertices,
+                  delta.dirty_fraction,    delta.stages_recomputed,
+                  delta.rows_recomputed,   delta.rows_copied};
   return result;
 }
-
-}  // namespace
-
-namespace detail {
 
 void validate_count_inputs(const Graph& graph, const TreeTemplate& tmpl,
                            const CountOptions& options, const char* api) {

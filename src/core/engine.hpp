@@ -402,13 +402,6 @@ class DpEngine {
     }
   }
 
-  DpEngine(const Graph& graph, const TreeTemplate& tmpl,
-           const PartitionTree& partition, int num_colors,
-           DpEngineOptions options = {})
-      : DpEngine(graph, partition, num_colors, std::move(options)) {
-    (void)tmpl;  // labels already live in the partition nodes
-  }
-
   /// One bottom-up DP pass for a fixed coloring, filling the per-node
   /// tables.  When `needed` is non-null (size num_nodes) only flagged
   /// nodes are computed — the batch scheduler masks off stages no
@@ -493,15 +486,17 @@ class DpEngine {
   }
 
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
-  /// over the root table (Alg. 2 line 20).  When per_vertex is
-  /// non-null it must have size n; root-table vertex totals are
-  /// *added* into it.
+  /// over the root table (Alg. 2 line 20); a single-vertex template
+  /// counts its label-matching vertices.
   double run(const ColorArray& colors, bool parallel_inner,
-             std::vector<double>* per_vertex = nullptr,
              bool keep_tables = false) {
     compute_tables(colors, parallel_inner, nullptr, keep_tables);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
-    return root_total(per_vertex, !keep_tables);
+    const int root = partition_.root_node();
+    if (partition_.node(root).is_leaf()) return leaf_count(root);
+    const double total = node_total(root);
+    if (!keep_tables) release_all_tables();
+    return total;
   }
 
   /// Table for a node (nullptr for leaves or freed nodes); valid after
@@ -510,19 +505,9 @@ class DpEngine {
     return tables_[static_cast<std::size_t>(node)].get();
   }
 
-  /// Nonzero-vertex list of a computed node's table (empty for leaves,
-  /// freed nodes, or reference-kernel passes).  Same lifetime as the
-  /// node's table.
-  [[nodiscard]] const std::vector<VertexId>& frontier(int node)
-      const noexcept {
-    return frontiers_[static_cast<std::size_t>(node)];
-  }
-
-  /// Retained DP state of one coloring's pass: every non-leaf table
-  /// plus its frontier, as left behind by run(..., keep_tables = true)
-  /// or run_delta().  Moved out per iteration by the incremental
-  /// counter (core/incremental.hpp) and re-adopted before the next
-  /// recount of the same iteration.
+  /// Retained DP state of one coloring's pass (every non-leaf table
+  /// plus its frontier), kept per iteration by the driver's retained
+  /// runs (sched/driver.hpp) between delta passes.
   struct Retained {
     std::vector<std::unique_ptr<Table>> tables;
     std::vector<std::vector<VertexId>> frontiers;
@@ -537,7 +522,7 @@ class DpEngine {
   };
 
   /// Moves the current tables/frontiers out (leaving empty slots);
-  /// valid after run(..., keep_tables = true) or run_delta().
+  /// valid after a keep_tables pass or run_delta().
   [[nodiscard]] Retained take_retained() {
     Retained out;
     out.tables = std::move(tables_);
@@ -573,13 +558,12 @@ class DpEngine {
   /// pass never touches the O(n) clean region; the other layouts copy
   /// every clean row verbatim into the fresh table (run/spill.hpp's
   /// decode -> commit_row round trip, proven bit-exact).  The
-  /// resulting tables, frontiers, and return value are bit-identical
-  /// to a full run(colors, ..., keep_tables = true) on the new graph
-  /// either way.
-  double run_delta(const ColorArray& colors, bool parallel_inner,
-                   const DirtyBalls& dirty,
-                   DeltaPassStats* delta_stats = nullptr,
-                   std::vector<double>* per_vertex = nullptr) {
+  /// resulting tables and frontiers are bit-identical to a full
+  /// keep_tables pass on the new graph either way; callers read totals
+  /// through node_total() as after compute_tables().
+  void run_delta(const ColorArray& colors, bool parallel_inner,
+                 const DirtyBalls& dirty,
+                 DeltaPassStats* delta_stats = nullptr) {
     const int num_nodes = partition_.num_nodes();
     std::vector<std::unique_ptr<Table>> old_tables = std::move(tables_);
     std::vector<std::vector<VertexId>> old_frontiers = std::move(frontiers_);
@@ -707,15 +691,12 @@ class DpEngine {
       old_tables[idx].reset();
       std::vector<VertexId>().swap(old_frontiers[idx]);
     }
-
-    return root_total(per_vertex, /*release=*/false);
   }
 
   [[nodiscard]] const PartitionTree& partition() const noexcept {
     return partition_;
   }
   [[nodiscard]] const Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] int num_colors() const noexcept { return k_; }
 
   /// Attaches a cooperative stop condition; nullptr detaches.  The
   /// guard must outlive every subsequent compute_tables()/run() call.
@@ -756,18 +737,6 @@ class DpEngine {
                                   VertexId v) const noexcept {
     if (leaf.root_label < 0 || !graph_.has_labels()) return true;
     return leaf.root_label == static_cast<int>(graph_.label(v));
-  }
-
-  /// Total of the whole template after a pass (a single-vertex template
-  /// counts its label-matching vertices), optionally adding per-vertex
-  /// totals and releasing every table.
-  double root_total(std::vector<double>* per_vertex, bool release) {
-    const int root = partition_.root_node();
-    if (per_vertex != nullptr) add_vertex_totals(root, *per_vertex);
-    if (partition_.node(root).is_leaf()) return leaf_count(root);
-    const double total = node_total(root);
-    if (release) release_all_tables();
-    return total;
   }
 
   /// Vertex list a leaf subtemplate restricts the DP to: the label's

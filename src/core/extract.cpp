@@ -242,7 +242,7 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
   // extractor always partitions without sharing.
   const PartitionTree partition = partition_template(
       tmpl, options.execution.partition, /*share_tables=*/false, options.root);
-  DpEngine<Table> engine(graph, tmpl, partition, k);
+  DpEngine<Table> engine(graph, partition, k);
   Xoshiro256 rng(options.sampling.seed ^ 0xabcdef12345678ULL);
 
   std::vector<Embedding> out;
@@ -251,8 +251,7 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
     const ColorArray colors =
         coloring_for(graph, k, options.sampling.seed + static_cast<std::uint64_t>(attempt));
     const double total =
-        engine.run(colors, /*parallel_inner=*/false, nullptr,
-                   /*keep_tables=*/true);
+        engine.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
     if (total <= 0.0) continue;
 
     Walker walker(engine, tmpl, colors);
@@ -316,9 +315,9 @@ std::vector<Embedding> enumerate_embeddings(const Graph& graph,
   // No table sharing: see sample_embeddings.
   const PartitionTree partition = partition_template(
       tmpl, options.execution.partition, /*share_tables=*/false, options.root);
-  DpEngine<Table> engine(graph, tmpl, partition, k);
+  DpEngine<Table> engine(graph, partition, k);
   const ColorArray colors = coloring_for(graph, k, options.sampling.seed);
-  engine.run(colors, /*parallel_inner=*/false, nullptr, /*keep_tables=*/true);
+  engine.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
 
   std::vector<Embedding> out;
   // An occurrence (non-induced copy) is a concrete subgraph: the same

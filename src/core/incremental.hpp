@@ -20,11 +20,15 @@
 //   graph.apply(delta);
 //   use(handle.recount(graph, delta).estimate);  // == full recount
 //
+// Both passes run on the one iteration driver (sched/driver.hpp) as a
+// retained run and a delta pass, so reports carry the same stages,
+// memory plan and thread layout as count_template's.
+//
 // Memory: the handle holds iterations x (all non-leaf tables), priced
 // by run::estimate_retained_bytes — retention is opt-in for a reason.
-// Restrictions (CountOptions::validate with execution.incremental):
-// serial/inner parallelism only, no reorder, no reference kernels, no
-// RunControls.  All four table layouts and both kernel families work.
+// Restrictions (CountOptions::validate with execution.incremental): no
+// reorder, no RunControls.  All four table layouts and all four
+// parallel modes work.
 
 #include <cstddef>
 #include <cstdint>
@@ -74,7 +78,7 @@ class RunHandle {
   /// partially advanced) and the caller must begin_incremental anew.
   const CountResult& recount(const Graph& new_graph, const GraphDelta& delta);
 
-  /// Type-erased per-table-layout state; public only for the factory.
+  /// Retained state and latest result; public only for the factory.
   class Impl;
 
  private:

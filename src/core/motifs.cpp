@@ -73,7 +73,6 @@ MotifProfile count_all_treelets_batch(const Graph& graph,
   batch_options.mode = options.execution.mode;
   batch_options.num_threads = options.execution.threads;
   batch_options.seed = options.sampling.seed;
-  batch_options.reference_kernels = options.execution.reference_kernels;
 
   const sched::BatchResult batch = sched::run_batch(graph, jobs,
                                                     batch_options);

@@ -28,6 +28,7 @@ constexpr std::size_t kMinCapacity = 64;
 struct Ring {
   std::mutex mutex;                // guards slot (re)allocation only
   std::vector<TraceEvent> slots;   // allocated lazily on first record
+  std::atomic<bool> allocated{false};  // publishes `slots` to recorders
   std::atomic<std::size_t> capacity{kDefaultCapacity};
   std::atomic<std::uint64_t> cursor{0};  // total records since reset
   std::atomic<std::uint64_t> epoch_ns{0};
@@ -37,11 +38,15 @@ struct Ring {
     return ring;
   }
 
+  // Recorders never take the mutex once the slots exist: the release
+  // store below makes the resized vector visible to every thread that
+  // observes `allocated` with acquire.
   void ensure_slots() {
-    if (!slots.empty()) return;
+    if (allocated.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lock(mutex);
-    if (slots.empty()) {
+    if (!allocated.load(std::memory_order_relaxed)) {
       slots.resize(capacity.load(std::memory_order_relaxed));
+      allocated.store(true, std::memory_order_release);
     }
   }
 };
@@ -160,6 +165,7 @@ void set_trace_capacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(ring.mutex);
   ring.capacity.store(std::max(capacity, kMinCapacity),
                       std::memory_order_relaxed);
+  ring.allocated.store(false, std::memory_order_relaxed);
   ring.slots.clear();
   ring.slots.shrink_to_fit();
   ring.cursor.store(0, std::memory_order_relaxed);

@@ -92,11 +92,6 @@ struct BatchOptions {
 
   std::uint64_t seed = 1;
 
-  /// Run the pre-frontier scalar DP kernels (see
-  /// CountOptions::reference_kernels).  Excluded from checkpoint
-  /// fingerprints: estimates are identical either way.
-  bool reference_kernels = false;
-
   /// Iterations adaptive jobs run before their first convergence
   /// check, and the granularity of later checks; >= 2.
   int min_iterations = 4;

@@ -68,6 +68,28 @@ struct JobState {
   }
 };
 
+/// Reference-kernel hook state (detail::use_reference_kernels).
+thread_local bool t_reference_kernels = false;
+
+/// A retained run's per-iteration DP state for one table layout.
+template <class Table>
+struct RetainedPassesOf final : detail::RetainedPasses {
+  std::vector<typename DpEngine<Table>::Retained> passes;  ///< by iteration
+
+  [[nodiscard]] std::size_t bytes() const noexcept override {
+    std::size_t total = 0;
+    for (const auto& pass : passes) {
+      for (const auto& table : pass.tables) {
+        if (table != nullptr) total += table->bytes();
+      }
+      for (const auto& frontier : pass.frontiers) {
+        total += frontier.size() * sizeof(VertexId);
+      }
+    }
+    return total;
+  }
+};
+
 /// Run-layer configuration resolved once, before table-type dispatch.
 struct Setup {
   ParallelMode mode = ParallelMode::kOuterLoop;  ///< after any demotion
@@ -114,16 +136,16 @@ Setup resolve_setup(const Graph& graph, const std::vector<BatchJob>& jobs,
     setup.mode = ParallelMode::kInnerLoop;
   }
 
-  // Hybrid plans for the worst case (all threads as outer copies); the
-  // layout chooser then respects the plan's engine-copy cap.  copies x
-  // threads_per_copy never exceeds the pool, so the workspace total is
-  // a valid upper bound.  Without a budget the plan only records its
-  // estimate; the ladder runs under a budget alone.
-  const bool copies_scale = setup.mode == ParallelMode::kOuterLoop ||
-                            setup.mode == ParallelMode::kHybrid;
+  // Outer and hybrid plan for their most copies (planned_engine_copies);
+  // the layout chooser then respects the plan's engine-copy cap.
+  // copies x threads_per_copy never exceeds the pool, so the workspace
+  // total is a valid upper bound.  Without a budget the plan only
+  // records its estimate; the ladder runs under a budget alone.
   const run::MemoryPlan memory = run::plan_memory(
       plan.merged, plan.num_colors, graph.num_vertices(), graph.has_labels(),
-      options.table, copies_scale ? setup.threads : 1,
+      options.table,
+      planned_engine_copies(setup.mode, options.num_threads,
+                            count != nullptr ? count->outer_copies : 0),
       options.run.memory_budget_bytes,
       setup.mode == ParallelMode::kInnerLoop ? setup.threads : 1,
       /*spill_available=*/!options.run.spill_dir.empty());
@@ -135,6 +157,13 @@ Setup resolve_setup(const Graph& graph, const std::vector<BatchJob>& jobs,
                                    memory.degradations.begin(),
                                    memory.degradations.end());
   setup.report.estimated_peak_bytes = memory.estimated_peak_bytes;
+  if (count != nullptr && count->retained != nullptr) {
+    // A retained run keeps every iteration's non-leaf tables past the
+    // pass, so the plan prices the retention on top of the pass peak.
+    setup.report.estimated_peak_bytes += run::estimate_retained_bytes(
+        plan.merged, plan.num_colors, graph.num_vertices(), setup.table,
+        graph.has_labels(), jobs.front().iterations);
+  }
   setup.report.table_used = setup.table;
 
   // Everything the per-iteration estimates depend on, so a checkpoint
@@ -167,12 +196,14 @@ Setup resolve_setup(const Graph& graph, const std::vector<BatchJob>& jobs,
 /// with cooperative guard checks, checkpoints, and an honest partial
 /// result on early stop.  `vertex_sums` (count runs with per_vertex)
 /// receives the raw root-vertex totals of the completed iterations,
-/// in the graph's own (possibly reordered) ids.
+/// in the graph's own (possibly reordered) ids.  Retained and delta
+/// passes (CountInputs::retained/dirty) run the same loop; only the
+/// pass itself and what happens to its tables differ.
 template <class Table>
 void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
              const BatchOptions& options, const BatchPlan& plan,
              const Setup& setup, const CountInputs* count, BatchResult& out,
-             std::vector<double>* vertex_sums,
+             std::vector<double>* vertex_sums, CountOutputs* count_out,
              std::vector<obs::ReportStage>* stages) {
   const int k = plan.num_colors;
   const bool hybrid = setup.mode == ParallelMode::kHybrid;
@@ -249,12 +280,32 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   // over its thread share; the guided (reverse) schedule keeps a
   // hub-first vertex order from serializing one chunk.
   DpEngineOptions engine_opts;
-  engine_opts.reference_kernels = options.reference_kernels;
+  engine_opts.reference_kernels = t_reference_kernels;
   engine_opts.collect_stats =
       obs::enabled() && options.observability.collect_stages;
   engine_opts.inner_threads = layout.inner_threads;
   engine_opts.guided_schedule = hybrid;
-  if (graph.has_labels()) {
+
+  // Retained runs keep iteration i's tables in slot i, whichever copy
+  // computed them; a delta pass re-adopts them from there.
+  RetainedPassesOf<Table>* retained = nullptr;
+  const DirtyBalls* dirty = count != nullptr ? count->dirty : nullptr;
+  if (count != nullptr && count->retained != nullptr) {
+    std::unique_ptr<detail::RetainedPasses>& slot = *count->retained;
+    if (slot == nullptr && dirty == nullptr) {
+      auto fresh = std::make_unique<RetainedPassesOf<Table>>();
+      fresh->passes.resize(static_cast<std::size_t>(jobs.front().iterations));
+      fresh->label_frontiers = LabelFrontiers::build(graph);
+      slot = std::move(fresh);
+    }
+    retained = dynamic_cast<RetainedPassesOf<Table>*>(slot.get());
+    if (retained == nullptr) {
+      throw internal_error("drive: no retained passes of this table layout");
+    }
+  }
+  if (retained != nullptr) {
+    engine_opts.label_frontiers = retained->label_frontiers;
+  } else if (graph.has_labels()) {
     engine_opts.label_frontiers = LabelFrontiers::build(graph);
   }
   // Out-of-core rung: each engine copy pages completed stage tables
@@ -270,6 +321,8 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     engines.emplace_back(graph, plan.merged, k, engine_opts);
     engines.back().set_guard(&guard);
   }
+  std::vector<typename DpEngine<Table>::DeltaPassStats> delta_stats(
+      static_cast<std::size_t>(engine_count));
 
   // Count-run inputs: per-vertex root totals accumulate per engine copy
   // within a round and merge into vertex_sums at the round's end;
@@ -527,7 +580,16 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
             perm != nullptr
                 ? random_coloring_permuted(k, iter_seed, perm->to_new)
                 : random_coloring(graph, k, iter_seed);
-        engine.compute_tables(colors, parallel_inner, &needed);
+        if (dirty != nullptr) {
+          // Same (seed, iter) -> same coloring as the retained pass: the
+          // stream is keyed on vertex ids, never on edges.
+          engine.adopt_retained(std::move(
+              retained->passes[static_cast<std::size_t>(iter)]));
+          engine.run_delta(colors, parallel_inner, *dirty, &delta_stats[copy]);
+        } else {
+          engine.compute_tables(colors, parallel_inner, &needed,
+                                /*keep_tables=*/retained != nullptr);
+        }
         if (guard.stopped()) {
           engine.release_all_tables();  // aborted mid-pass: discard
           return;
@@ -542,7 +604,12 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
         if (per_vertex) {
           engine.add_vertex_totals(plan.job_root.front(), copy_vertex[copy]);
         }
-        engine.release_all_tables();
+        if (retained != nullptr) {
+          retained->passes[static_cast<std::size_t>(iter)] =
+              engine.take_retained();
+        } else {
+          engine.release_all_tables();
+        }
         const double secs = timer.elapsed_s();
         out.seconds_per_iteration[static_cast<std::size_t>(iter)] = secs;
         iteration_seconds_metric().observe(secs);
@@ -713,6 +780,14 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     out.run.spilled_bytes += engine.spilled_bytes();
     out.run.spill_events += engine.spill_events();
   }
+  if (count_out != nullptr) {
+    for (const auto& pass : delta_stats) {
+      count_out->delta.stages_recomputed +=
+          static_cast<std::uint64_t>(pass.stages_recomputed);
+      count_out->delta.rows_recomputed += pass.rows_recomputed;
+      count_out->delta.rows_copied += pass.rows_copied;
+    }
+  }
   out.run.completed_iterations = done;
   if (guard.stopped()) {
     out.run.status = guard.status();
@@ -726,6 +801,8 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
 }  // namespace
 
 namespace detail {
+
+void use_reference_kernels(bool on) noexcept { t_reference_kernels = on; }
 
 BatchResult drive(const Graph& graph, const std::vector<BatchJob>& jobs,
                   const BatchOptions& options, obs::RunReport header,
@@ -751,20 +828,20 @@ BatchResult drive(const Graph& graph, const std::vector<BatchJob>& jobs,
     PeakMemScope peak_scope(peak_bytes);
     switch (setup.table) {
       case TableKind::kNaive:
-        execute<NaiveTable>(graph, jobs, options, plan, setup, count, result,
-                            sums, &stages);
+        execute<NaiveTable>(graph, jobs, options, plan, setup, count,
+                            result, sums, count_out, &stages);
         break;
       case TableKind::kCompact:
         execute<CompactTable>(graph, jobs, options, plan, setup, count,
-                              result, sums, &stages);
+                              result, sums, count_out, &stages);
         break;
       case TableKind::kHash:
-        execute<HashTable>(graph, jobs, options, plan, setup, count, result,
-                           sums, &stages);
+        execute<HashTable>(graph, jobs, options, plan, setup, count,
+                           result, sums, count_out, &stages);
         break;
       case TableKind::kSuccinct:
         execute<SuccinctTable>(graph, jobs, options, plan, setup, count,
-                               result, sums, &stages);
+                               result, sums, count_out, &stages);
         break;
     }
   }
@@ -837,6 +914,9 @@ BatchResult drive(const Graph& graph, const std::vector<BatchJob>& jobs,
     count_out->max_live_tables = plan.merged.max_live_tables();
     count_out->num_subtemplates = plan.merged.num_nodes();
     count_out->peak_table_bytes = peak_bytes;
+    report->delta.stages_recomputed = count_out->delta.stages_recomputed;
+    report->delta.rows_recomputed = count_out->delta.rows_recomputed;
+    report->delta.rows_copied = count_out->delta.rows_copied;
     if (sums != nullptr) {
       // Per-vertex rooted totals count each occurrence through v once
       // per stabilizer element of the root's orbit; reported counts

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/run_metrics.hpp"
+
 namespace fascia {
 
 namespace {
@@ -44,6 +46,14 @@ ThreadLayout choose_layout(const LayoutInputs& in) {
   layout.outer_copies = copies;
   layout.inner_threads = std::max(1, threads / copies);
   return layout;
+}
+
+int planned_engine_copies(ParallelMode mode, int threads,
+                          int forced_outer_copies) {
+  const int pool = detail::resolve_threads(threads);
+  if (mode == ParallelMode::kOuterLoop) return pool;
+  if (mode != ParallelMode::kHybrid) return 1;
+  return forced_outer_copies > 0 ? std::min(forced_outer_copies, pool) : pool;
 }
 
 }  // namespace fascia

@@ -39,4 +39,12 @@ struct LayoutInputs {
 
 ThreadLayout choose_layout(const LayoutInputs& in);
 
+/// Most engine copies (each with private tables) a run may hold at
+/// once: every thread for outer, the forced count (else every thread)
+/// for hybrid, one for serial and inner.  `threads` 0 = the OpenMP
+/// default.  The driver's memory plan and the service's admission
+/// quote both price tables with it.
+int planned_engine_copies(ParallelMode mode, int threads,
+                          int forced_outer_copies = 0);
+
 }  // namespace fascia

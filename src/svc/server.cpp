@@ -481,11 +481,15 @@ void Server::stop() {
     connections.swap(connections_);
     finished_ids_.clear();
   }
-  tcp_.close();
-  unix_.close();
+  // Wake the acceptors without touching the descriptors they read;
+  // close them only once every acceptor has exited.
+  tcp_.shutdown();
+  unix_.shutdown();
   for (std::thread& acceptor : acceptors_) {
     if (acceptor.joinable()) acceptor.join();
   }
+  tcp_.close();
+  unix_.close();
   for (std::thread& connection : connections) {
     if (connection.joinable()) connection.join();
   }

@@ -7,8 +7,10 @@
 #include <utility>
 
 #include "core/counter.hpp"
+#include "core/run_metrics.hpp"
 #include "graph/datasets.hpp"
 #include "run/memory.hpp"
+#include "sched/thread_layout.hpp"
 #include "svc/protocol.hpp"
 #include "util/error.hpp"
 
@@ -76,11 +78,15 @@ namespace {
 
 /// Modeled peak bytes for one template under the given execution
 /// config — the admission-control figure, not an allocation.
+/// `threads` 0 = the OpenMP default, as the driver resolves it.
+/// Incremental counts keep every iteration's non-leaf tables alive past
+/// the run, so `retained_iterations` > 0 prices that retention too.
 std::size_t estimate_job_bytes(GraphRegistry& registry,
                                const TreeTemplate& tmpl, VertexId n,
                                int num_colors, TableKind table,
                                PartitionStrategy strategy, bool share_tables,
-                               int root, int engine_copies, int threads) {
+                               int root, int engine_copies, int threads,
+                               int retained_iterations = 0) {
   const auto partition =
       registry.partition_of(tmpl, strategy, share_tables, root);
   const int colors = num_colors > 0 ? num_colors : tmpl.size();
@@ -89,19 +95,13 @@ std::size_t estimate_job_bytes(GraphRegistry& registry,
   std::size_t bytes =
       per_copy * static_cast<std::size_t>(std::max(1, engine_copies));
   bytes += run::estimate_workspace_bytes(*partition, colors) *
-           static_cast<std::size_t>(std::max(1, threads));
+           static_cast<std::size_t>(fascia::detail::resolve_threads(threads));
+  if (retained_iterations > 0) {
+    bytes += run::estimate_retained_bytes(*partition, colors, n, table,
+                                          tmpl.has_labels(),
+                                          retained_iterations);
+  }
   return bytes;
-}
-
-int admission_engine_copies(const ExecutionOptions& execution) {
-  if (execution.mode == ParallelMode::kOuterLoop) {
-    return std::max(1, execution.threads);  // threads==0: modeled as 1
-  }
-  if (execution.mode == ParallelMode::kHybrid &&
-      execution.outer_copies > 0) {
-    return execution.outer_copies;
-  }
-  return 1;
 }
 
 const obs::Metric& shed_metric() {
@@ -233,34 +233,20 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
                                       table, bo.partition,
                                       bo.share_tables,
                                       /*root=*/-1,
-                                      bo.mode == ParallelMode::kOuterLoop
-                                          ? std::max(1, bo.num_threads)
-                                          : 1,
-                                      std::max(1, bo.num_threads)));
+                                      planned_engine_copies(bo.mode,
+                                                            bo.num_threads),
+                                      bo.num_threads));
       }
       return worst;
     }
     const CountOptions& co = record->spec.options;
-    std::size_t bytes = estimate_job_bytes(
+    return estimate_job_bytes(
         registry_, record->spec.tmpl, n, co.sampling.num_colors, table,
-        co.execution.partition,
-        co.execution.share_tables, co.root,
-        admission_engine_copies(co.execution),
-        std::max(1, co.execution.threads));
-    if (co.execution.incremental) {
-      // Incremental counts keep every iteration's non-leaf tables
-      // alive past the run — price the retention, not just the pass.
-      const auto partition = registry_.partition_of(
-          record->spec.tmpl, co.execution.partition,
-          co.execution.share_tables, co.root);
-      const int colors = co.sampling.num_colors > 0
-                             ? co.sampling.num_colors
-                             : record->spec.tmpl.size();
-      bytes += run::estimate_retained_bytes(
-          *partition, colors, n, table, record->spec.tmpl.has_labels(),
-          co.sampling.iterations);
-    }
-    return bytes;
+        co.execution.partition, co.execution.share_tables, co.root,
+        planned_engine_copies(co.execution.mode, co.execution.threads,
+                              co.execution.outer_copies),
+        co.execution.threads,
+        co.execution.incremental ? co.sampling.iterations : 0);
   };
   const TableKind requested = record->spec.kind == JobKind::kBatch
                                   ? record->spec.batch_options.table

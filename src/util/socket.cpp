@@ -159,17 +159,21 @@ Socket Listener::accept() const {
     const int client = ::accept(fd_, nullptr, nullptr);
     if (client >= 0) return Socket(client);
     if (errno == EINTR) continue;
-    // EBADF/EINVAL after close(): the clean shutdown path.
+    // EINVAL after shutdown(): the clean exit path.
     return Socket();
   }
   return Socket();
+}
+
+void Listener::shutdown() const noexcept {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Listener::close() noexcept {
   if (fd_ >= 0) {
     // shutdown() first so a thread blocked in accept() wakes up even
     // on platforms where close() alone does not interrupt it.
-    ::shutdown(fd_, SHUT_RDWR);
+    shutdown();
     ::close(fd_);
     fd_ = -1;
   }

@@ -66,7 +66,7 @@ class Listener {
   static Listener unix_domain(const std::string& path, int backlog = 64);
 
   /// Blocks for the next connection.  Returns an invalid Socket after
-  /// close() — the accept-loop exit signal.
+  /// shutdown() — the accept-loop exit signal.
   [[nodiscard]] Socket accept() const;
 
   /// Resolved TCP port (the ephemeral pick when bound with port 0);
@@ -76,7 +76,13 @@ class Listener {
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
 
   /// Stops accepting: pending and future accept() calls return an
-  /// invalid Socket.  Removes the Unix socket file.
+  /// invalid Socket.  Wake-only — the descriptor stays open and owned,
+  /// so threads still inside accept() never see it change or reused.
+  void shutdown() const noexcept;
+
+  /// Releases the descriptor and removes the Unix socket file.  Call
+  /// it only once no thread is inside accept() (shutdown(), then join
+  /// the acceptors, then close()).
   void close() noexcept;
 
  private:

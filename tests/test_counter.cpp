@@ -10,6 +10,7 @@
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
 #include "helpers.hpp"
+#include "sched/driver.hpp"
 #include "treelet/canonical.hpp"
 #include "treelet/catalog.hpp"
 #include "treelet/free_trees.hpp"
@@ -42,7 +43,7 @@ TEST_P(PerColoringExactness, DpMatchesBruteForce) {
                           PartitionStrategy::kBalanced}) {
       for (int root : {-1, 0, tree.size() - 1}) {
         const auto part = partition_template(tree, strategy, true, root);
-        DpEngine<CompactTable> engine(g, tree, part, k);
+        DpEngine<CompactTable> engine(g, part, k);
         const double raw = engine.run(colors, /*parallel_inner=*/false);
         ASSERT_NEAR(raw, brute, 1e-6 * (1.0 + brute))
             << tree.describe() << " root=" << root;
@@ -152,10 +153,10 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
             options.execution.mode = mode;
             options.execution.table = table;
             options.execution.partition = strategy;
-            CountOptions ref_options = options;
-            ref_options.execution.reference_kernels = true;
             const CountResult fast = count_template(g, tree, options);
-            const CountResult ref = count_template(g, tree, ref_options);
+            sched::detail::use_reference_kernels(true);
+            const CountResult ref = count_template(g, tree, options);
+            sched::detail::use_reference_kernels(false);
             ASSERT_EQ(ref.per_iteration.size(), fast.per_iteration.size());
             for (std::size_t i = 0; i < ref.per_iteration.size(); ++i) {
               // Exact ==, not NEAR: this is a bit-identity contract.

@@ -2,8 +2,8 @@
 //
 // The load-bearing property: an incremental recount after a delta is
 // BIT-IDENTICAL (==, not near) to a full count_template of the mutated
-// graph under the same seed, across every table layout and both kernel
-// families.  Everything else here guards the road to that: delta
+// graph under the same seed, across every table layout and thread
+// layout.  Everything else here guards the road to that: delta
 // validation maps to the error taxonomy, apply() equals a batch
 // rebuild, and the dirty-ball BFS is what the theory says.
 
@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "core/counter.hpp"
@@ -260,23 +261,31 @@ struct IncrementalCase {
   bool labeled;
 };
 
+// Table layout x thread layout.  Outer and hybrid runs compute
+// iterations on two engine copies, so a retained pass may be recounted
+// by a different copy than the one that computed it.
 class IncrementalBitIdentity
-    : public ::testing::TestWithParam<IncrementalCase> {};
+    : public ::testing::TestWithParam<
+          std::tuple<IncrementalCase, ParallelMode>> {};
 
 TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
-  const IncrementalCase param = GetParam();
+  const IncrementalCase param = std::get<0>(GetParam());
+  const ParallelMode mode = std::get<1>(GetParam());
   Graph g = grid_graph();
   TreeTemplate tmpl = TreeTemplate::path(7);
   if (param.labeled) {
     assign_random_labels(g, 3, 21);
     tmpl.set_labels({0, 1, 2, 1, 0, 2, 1});
   }
+  const int threads = mode == ParallelMode::kSerial ? 1 : 2;
   const CountOptions options = CountOptions::builder()
                                    .iterations(3)
                                    .seed(42)
                                    .table(param.table)
                                    .partition(PartitionStrategy::kBalanced)
                                    .per_vertex(true)
+                                   .mode(mode)
+                                   .threads(threads)
                                    .build();
 
   RunHandle handle = begin_incremental(g, tmpl, options);
@@ -307,12 +316,15 @@ TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllLayouts, IncrementalBitIdentity,
-    ::testing::Values(IncrementalCase{TableKind::kNaive, false},
-                      IncrementalCase{TableKind::kCompact, false},
-                      IncrementalCase{TableKind::kHash, false},
-                      IncrementalCase{TableKind::kSuccinct, false},
-                      IncrementalCase{TableKind::kCompact, true},
-                      IncrementalCase{TableKind::kHash, true}));
+    ::testing::Combine(
+        ::testing::Values(IncrementalCase{TableKind::kNaive, false},
+                          IncrementalCase{TableKind::kCompact, false},
+                          IncrementalCase{TableKind::kHash, false},
+                          IncrementalCase{TableKind::kSuccinct, false},
+                          IncrementalCase{TableKind::kCompact, true},
+                          IncrementalCase{TableKind::kHash, true}),
+        ::testing::Values(ParallelMode::kSerial, ParallelMode::kInnerLoop,
+                          ParallelMode::kOuterLoop, ParallelMode::kHybrid)));
 
 TEST(Incremental, DeleteOnlyAndInsertOnlyDeltas) {
   Graph g = grid_graph();
@@ -360,16 +372,6 @@ TEST(Incremental, OptionRestrictionsRejected) {
             ErrorCategory::kUsage);
 
   // Incompatible knobs die in validate().
-  CountOptions outer;
-  outer.execution.mode = ParallelMode::kOuterLoop;
-  EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, outer); }),
-            ErrorCategory::kUsage);
-
-  CountOptions reference;
-  reference.execution.reference_kernels = true;
-  EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, reference); }),
-            ErrorCategory::kUsage);
-
   CountOptions reordered;
   reordered.execution.reorder = ReorderMode::kDegree;
   EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, reordered); }),
@@ -379,6 +381,35 @@ TEST(Incremental, OptionRestrictionsRejected) {
   controlled.run.deadline_seconds = 10.0;
   EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, controlled); }),
             ErrorCategory::kUsage);
+}
+
+TEST(Incremental, ReportCarriesDriverSections) {
+  // The initial pass and every recount run on the iteration driver, so
+  // their reports carry its per-stage timing and memory plan.
+  Graph g = grid_graph();
+  const TreeTemplate tmpl = TreeTemplate::path(5);
+  const CountOptions options = CountOptions::builder()
+                                   .iterations(2)
+                                   .seed(9)
+                                   .observability(true)
+                                   .build();
+  RunHandle handle = begin_incremental(g, tmpl, options);
+  const auto check = [](const CountResult& result, std::uint64_t recounts) {
+    ASSERT_TRUE(result.report != nullptr);
+    EXPECT_EQ(result.report->kind, "incremental_count");
+    EXPECT_FALSE(result.report->stages.empty());
+    EXPECT_GT(result.report->memory.planned_peak_bytes, 0u);
+    EXPECT_TRUE(result.report->delta.incremental);
+    EXPECT_EQ(result.report->delta.recounts, recounts);
+  };
+  check(handle.result(), 0);
+
+  GraphDelta delta;
+  const Edge victim = edge_list(g).front();
+  delta.remove(victim.first, victim.second);
+  g.apply(delta);
+  check(handle.recount(g, delta), 1);
+  EXPECT_GT(handle.result().report->delta.stages_recomputed, 0u);
 }
 
 TEST(Incremental, VertexCountMismatchRejected) {

@@ -14,6 +14,7 @@
 #include "graph/generators.hpp"
 #include "graph/reorder.hpp"
 #include "helpers.hpp"
+#include "sched/driver.hpp"
 #include "treelet/catalog.hpp"
 
 namespace fascia {
@@ -170,10 +171,12 @@ TEST(ReorderCounting, BitIdenticalAgainstReferenceKernels) {
   const Graph g = shuffled_chung_lu(400, 2000, 29);
   const TreeTemplate& tree = catalog_entry("U7-2").tree;
 
-  CountOptions reference_options = reorder_options(
-      ReorderMode::kNone, ParallelMode::kSerial, TableKind::kCompact);
-  reference_options.execution.reference_kernels = true;
-  const CountResult reference = count_template(g, tree, reference_options);
+  sched::detail::use_reference_kernels(true);
+  const CountResult reference = count_template(
+      g, tree,
+      reorder_options(ReorderMode::kNone, ParallelMode::kSerial,
+                      TableKind::kCompact));
+  sched::detail::use_reference_kernels(false);
 
   for (ReorderMode reorder : kAllModes) {
     const CountResult result = count_template(

@@ -26,10 +26,12 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "run/checkpoint.hpp"
+#include "run/memory.hpp"
 #include "svc/journal.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "treelet/catalog.hpp"
+#include "treelet/partition.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -262,6 +264,30 @@ TEST(SvcService, AdmissionRejectsJobsThatCanNeverFit) {
   service.registry().put("g", erdos_renyi_gnm(5000, 20000, 1));
   svc::JobSpec spec = count_spec("g", catalog_entry("U10-2").tree, 1);
   EXPECT_THROW(service.submit(std::move(spec)), Error);
+}
+
+TEST(SvcService, HybridAdmissionQuotesEveryOuterCopy) {
+  // On a small graph no inner thread gets a useful frontier share, so
+  // the hybrid layout runs every thread as an outer copy with private
+  // tables; admission must price all of them.
+  const TreeTemplate tmpl = catalog_entry("U7-1").tree;
+  const Graph graph = erdos_renyi_gnm(1000, 4000, 3);
+  svc::Service service({});
+  service.registry().put("g", graph);
+  svc::JobSpec spec = count_spec("g", tmpl, 4);
+  spec.options.execution.mode = ParallelMode::kHybrid;
+  spec.options.execution.threads = 4;
+  const CountOptions options = spec.options;
+  const svc::JobId id = service.submit(std::move(spec));
+
+  const std::size_t per_copy = run::estimate_peak_bytes(
+      partition_template(tmpl, options.execution.partition,
+                         options.execution.share_tables, options.root),
+      tmpl.size(), graph.num_vertices(), options.execution.table,
+      /*labeled=*/false);
+  EXPECT_GE(service.info(id).estimated_peak_bytes, 4 * per_copy);
+  ASSERT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+  EXPECT_EQ(service.count_result(id).layout.outer_copies, 4);
 }
 
 TEST(SvcService, AdmissionRequotesSuccinctInsteadOfRejecting) {
