@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
          {TableKind::kNaive, TableKind::kCompact, TableKind::kHash}) {
       CountOptions options;
       options.sampling.iterations = 1;
-      options.execution.mode = ParallelMode::kInnerLoop;
+      options.execution.outer_copies = 1;
       options.execution.threads = ctx.threads;
       options.sampling.seed = ctx.seed;
       options.execution.table = kind;

@@ -10,6 +10,8 @@
 // documents per-bench expectations.
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,27 @@ struct Context {
   [[nodiscard]] Graph dataset(const std::string& name,
                               double default_scale) const {
     return load_or_make(name, graph_file, scale(default_scale), seed);
+  }
+
+  /// The --check baseline of a gated bench.  A baseline that resolves
+  /// to the --json output would be overwritten first and then gate the
+  /// run against itself, so that is a usage error (exit 2).
+  [[nodiscard]] std::string check_path() const {
+    const std::string check = cli.str("check");
+    if (check.empty()) return check;
+    namespace fs = std::filesystem;
+    std::error_code ec_check;
+    std::error_code ec_json;
+    const fs::path baseline = fs::weakly_canonical(check, ec_check);
+    const fs::path output = fs::weakly_canonical(cli.str("json"), ec_json);
+    if (!ec_check && !ec_json && baseline == output) {
+      std::fprintf(stderr,
+                   "--check %s is also the --json output; pass --json "
+                   "<another path> so the baseline is not overwritten\n",
+                   check.c_str());
+      std::exit(2);
+    }
+    return check;
   }
 
   [[nodiscard]] CsvWriter csv(const std::vector<std::string>& header) const {

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
     CountOptions options;
     options.sampling.iterations = iterations;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     WallTimer estimate_timer;

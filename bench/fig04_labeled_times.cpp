@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   for (const auto& entry : template_catalog()) {
     CountOptions options;
     options.sampling.iterations = 1;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
 

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     for (int k : sizes) {
       CountOptions options;
       options.sampling.iterations = 1;
-      options.execution.mode = ParallelMode::kInnerLoop;
+      options.execution.outer_copies = 1;
       options.execution.threads = ctx.threads;
       options.sampling.seed = ctx.seed;
       const MotifProfile profile = count_all_treelets(g, k, options);

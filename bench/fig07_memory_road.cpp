@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const auto& entry = catalog_entry(name);
     CountOptions options;
     options.sampling.iterations = 1;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
 

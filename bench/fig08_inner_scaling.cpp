@@ -5,6 +5,7 @@
 // NOTE: this container exposes a single core, so the sweep runs but
 // the speedup curve flattens at 1 (recorded in EXPERIMENTS.md).
 
+#include <algorithm>
 #include <string>
 #include <thread>
 
@@ -24,44 +25,42 @@ int main(int argc, char** argv) {
                     std::to_string(std::thread::hardware_concurrency()));
 
   const auto& tree = catalog_entry("U12-2").tree;
-  TablePrinter table({"Cores", "time (s)", "speedup", "hybrid (s)",
-                      "hybrid layout"});
-  auto csv = ctx.csv({"cores", "seconds", "speedup", "hybrid_seconds",
-                      "hybrid_outer", "hybrid_inner"});
+  TablePrinter table({"Cores", "time (s)", "speedup", "2 copies (s)",
+                      "2-copy layout"});
+  auto csv = ctx.csv({"cores", "seconds", "speedup", "two_copy_seconds",
+                      "two_copy_outer", "two_copy_inner"});
 
   double serial_time = 0.0;
   for (int cores : {1, 2, 4, 8, 12, 16}) {
     CountOptions options;
     options.sampling.iterations = 1;
-    options.execution.mode =
-        cores == 1 ? ParallelMode::kSerial : ParallelMode::kInnerLoop;
     options.execution.threads = cores;
     options.sampling.seed = ctx.seed;
     const CountResult result = count_template(g, tree, options);
     const double seconds = result.seconds_per_iteration[0];
     if (cores == 1) serial_time = seconds;
 
-    // Hybrid series: the cost-model scheduler picks its own split of
-    // the same thread pool (one iteration => outer corner never wins,
-    // so this measures the modeled inner split).
-    options.execution.mode = ParallelMode::kHybrid;
-    const CountResult hybrid = count_template(g, tree, options);
-    const double hybrid_seconds = hybrid.seconds_per_iteration[0];
+    // Two-copy series: the same pool split into two outer copies of
+    // cores/2 inner threads (one iteration => one copy idles, so this
+    // prices the halved inner width).
+    options.execution.outer_copies = std::min(2, cores);
+    const CountResult split = count_template(g, tree, options);
+    const double split_seconds = split.seconds_per_iteration[0];
     const std::string layout =
-        std::to_string(hybrid.layout.outer_copies) + "x" +
-        std::to_string(hybrid.layout.inner_threads);
+        std::to_string(split.layout.outer_copies) + "x" +
+        std::to_string(split.layout.inner_threads);
 
     std::vector<std::string> row = {
         TablePrinter::num(static_cast<long long>(cores)),
         TablePrinter::num(seconds, 3),
         TablePrinter::num(serial_time / seconds, 2),
-        TablePrinter::num(hybrid_seconds, 3), layout};
+        TablePrinter::num(split_seconds, 3), layout};
     csv.row({TablePrinter::num(static_cast<long long>(cores)),
              TablePrinter::num(seconds, 3),
              TablePrinter::num(serial_time / seconds, 2),
-             TablePrinter::num(hybrid_seconds, 3),
-             std::to_string(hybrid.layout.outer_copies),
-             std::to_string(hybrid.layout.inner_threads)});
+             TablePrinter::num(split_seconds, 3),
+             std::to_string(split.layout.outer_copies),
+             std::to_string(split.layout.inner_threads)});
     table.add_row(std::move(row));
   }
   table.print();

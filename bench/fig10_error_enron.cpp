@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     CountOptions options;
     options.sampling.iterations = 10;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     const CountResult result = count_template(g, tree, options);

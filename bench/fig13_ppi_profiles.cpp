@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     const Graph g = make_dataset(name, 1.0, ctx.seed);
     CountOptions options;
     options.sampling.iterations = iterations;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     profiles.push_back(

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
                                  ctx.seed);
     CountOptions options;
     options.sampling.iterations = iterations;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     profiles.push_back(

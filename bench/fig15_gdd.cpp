@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                                  ctx.seed);
     CountOptions options;
     options.sampling.iterations = ctx.full ? 100 : 10;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     const CountResult result = graphlet_degrees(g, tree, orbit, options);

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     for (int iterations : checkpoints) {
       CountOptions options;
       options.sampling.iterations = iterations;
-      options.execution.mode = ParallelMode::kInnerLoop;
+      options.execution.outer_copies = 1;
       options.execution.threads = ctx.threads;
       options.sampling.seed = ctx.seed;
       const auto estimated =

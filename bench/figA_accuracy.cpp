@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
         theoretical_iterations(entry.size, 0.1, 0.05);
 
     CountOptions options;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed;
     // Fine-grained batches so the stopping point is resolved to ~8

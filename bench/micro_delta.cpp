@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   const int edits = static_cast<int>(ctx.cli.integer("edits"));
   const int rounds = static_cast<int>(ctx.cli.integer("rounds"));
   const std::string json_path = ctx.cli.str("json");
-  const std::string check_path = ctx.cli.str("check");
+  const std::string check_path = ctx.check_path();
 
   bench::banner("micro_delta",
                 "dynamic-graph counting: dirty-ball recount vs full pass",
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   incremental_options.sampling.iterations = iterations;
   incremental_options.sampling.seed = ctx.seed;
   incremental_options.execution.table = table;
-  incremental_options.execution.mode = ParallelMode::kSerial;
+  incremental_options.execution.threads = 1;
   incremental_options.execution.incremental = true;
   CountOptions full_options = incremental_options;
   full_options.execution.incremental = false;

@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   if (kmax <= 0) kmax = ctx.full ? 10 : 8;
   const int iters = static_cast<int>(ctx.cli.integer("iters"));
   const std::string json_path = ctx.cli.str("json");
-  const std::string check_path = ctx.cli.str("check");
+  const std::string check_path = ctx.check_path();
 
   bench::banner("micro_dp",
                 "DP inner-loop rebuild (DESIGN.md §8): frontiers + SoA "

@@ -66,8 +66,9 @@ struct Entry {
   long long stage_passes = 0;  ///< scraped from dp.stage.* instruments
 };
 
-const char* layout_name(ParallelMode mode) {
-  return mode == ParallelMode::kHybrid ? "hybrid" : "inner";
+/// outer_copies of the two layout corners: 1 = inner, 0 = outer.
+const char* layout_name(int outer_copies) {
+  return outer_copies == 1 ? "inner" : "outer";
 }
 
 /// Minimal line-based reader for the "config_speedups" block this
@@ -117,7 +118,7 @@ int main(int argc, char** argv) {
   const int k = static_cast<int>(ctx.cli.integer("k"));
   const int iters = std::max(2, static_cast<int>(ctx.cli.integer("iters")));
   const std::string json_path = ctx.cli.str("json");
-  const std::string check_path = ctx.cli.str("check");
+  const std::string check_path = ctx.check_path();
 
   // Acceptance scale by default: >= 1M edges so the tables outgrow the
   // last-level cache and locality is what's being measured.  --scale
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
 
   bench::banner("micro_locality",
                 "locality-aware execution (DESIGN.md §9): reordering, "
-                "first-touch tables, hybrid scheduler",
+                "first-touch tables, inner and outer thread layouts",
                 "shuffled Chung-Lu, " + bench::describe_graph(g) +
                     ", U" + std::to_string(k) + "-1 path, " +
                     std::to_string(iters) + " iterations/config");
@@ -154,8 +155,7 @@ int main(int argc, char** argv) {
       {TableKind::kNaive, "naive"},
       {TableKind::kCompact, "compact"},
       {TableKind::kHash, "hash"}};
-  const std::vector<ParallelMode> layouts = {ParallelMode::kInnerLoop,
-                                             ParallelMode::kHybrid};
+  const std::vector<int> layouts = {1, 0};  // outer_copies
 
   std::map<std::string, Entry> entries;  // reorder:table:layout
   std::map<std::string, double> baseline_seconds;  // per table
@@ -165,12 +165,12 @@ int main(int argc, char** argv) {
 
   for (const auto& [table, table_name] : tables) {
     for (ReorderMode reorder : reorders) {
-      for (ParallelMode mode : layouts) {
+      for (int copies : layouts) {
         CountOptions options;
         options.sampling.iterations = iters;
         options.sampling.seed = ctx.seed;
         options.execution.table = table;
-        options.execution.mode = mode;
+        options.execution.outer_copies = copies;
         options.execution.reorder = reorder;
         options.execution.threads = ctx.threads;
         obs::Registry::global().reset();
@@ -197,9 +197,8 @@ int main(int argc, char** argv) {
             obs::Registry::global().read("dp.stage.seconds").hist.count);
 
         const std::string key = std::string(reorder_mode_name(reorder)) +
-                                ":" + table_name + ":" + layout_name(mode);
-        if (reorder == ReorderMode::kNone &&
-            mode == ParallelMode::kInnerLoop) {
+                                ":" + table_name + ":" + layout_name(copies);
+        if (reorder == ReorderMode::kNone && copies == 1) {
           baseline_seconds[table_name] = best;
         }
         entry.speedup = best > 0.0

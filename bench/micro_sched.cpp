@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   CountOptions legacy_options;
   legacy_options.sampling.iterations = iters;
   legacy_options.sampling.seed = ctx.seed;
-  legacy_options.execution.mode = ParallelMode::kOuterLoop;
+  legacy_options.execution.outer_copies = 0;
   legacy_options.execution.threads = ctx.threads;
 
   obs::Registry::global().reset();
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   }
   sched::BatchOptions batch_options;
   batch_options.seed = ctx.seed;
-  batch_options.mode = ParallelMode::kOuterLoop;
+  batch_options.outer_copies = 0;
   batch_options.num_threads = ctx.threads;
 
   obs::Registry::global().reset();

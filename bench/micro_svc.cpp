@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(ctx.cli.integer("reps"));
   const int iters = static_cast<int>(ctx.cli.integer("iters"));
   const std::string json_path = ctx.cli.str("json");
-  const std::string check_path = ctx.cli.str("check");
+  const std::string check_path = ctx.check_path();
 
   bench::banner("micro_svc",
                 "service layer (DESIGN.md §11): registry amortization, "
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     spec.tmpl = catalog_entry("U7-1").tree;
     spec.options.sampling.iterations = 50;
     spec.options.sampling.seed = ctx.seed + static_cast<std::uint64_t>(b);
-    spec.options.execution.mode = ParallelMode::kSerial;
+    spec.options.execution.threads = 1;
     spec.priority = svc::Priority::kBatch;
     backlog.push_back(service.submit(std::move(spec)));
   }
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     spec.tmpl = catalog_entry("U5-1").tree;
     spec.options.sampling.iterations = iters;
     spec.options.sampling.seed = ctx.seed;
-    spec.options.execution.mode = ParallelMode::kSerial;
+    spec.options.execution.threads = 1;
     spec.priority = svc::Priority::kInteractive;
     spec.preemptible = false;
     WallTimer timer;
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
       spec.tmpl = catalog_entry("U7-1").tree;
       spec.options.sampling.iterations = 50;
       spec.options.sampling.seed = ctx.seed + ++seed_counter;
-      spec.options.execution.mode = ParallelMode::kSerial;
+      spec.options.execution.threads = 1;
       spec.priority = svc::Priority::kBatch;
       try {
         shed_backlog.push_back(shed_service.submit(std::move(spec)));
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
     spec.tmpl = catalog_entry("U5-1").tree;
     spec.options.sampling.iterations = iters;
     spec.options.sampling.seed = ctx.seed;
-    spec.options.execution.mode = ParallelMode::kSerial;
+    spec.options.execution.threads = 1;
     spec.priority = svc::Priority::kInteractive;
     spec.preemptible = false;
     WallTimer timer;

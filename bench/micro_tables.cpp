@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
       CountOptions options;
       options.sampling.iterations = 3;
       options.sampling.seed = ctx.seed;
-      options.execution.mode = ParallelMode::kInnerLoop;
+      options.execution.outer_copies = 1;
       options.execution.threads = ctx.threads;
       options.execution.table = kind;
       const CountResult result = count_template(g, shape.tmpl, options);
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   sched::BatchOptions batch;
   batch.table = TableKind::kSuccinct;
   batch.seed = ctx.seed;
-  batch.mode = ParallelMode::kInnerLoop;
+  batch.outer_copies = 1;
   batch.num_threads = ctx.threads;
 
   // Unconstrained reference run: real peak and the per-job estimates the

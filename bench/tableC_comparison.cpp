@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < trees.size(); ++i) {
     CountOptions options;
     options.sampling.iterations = iterations;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed + 0x9e3779b9u * (i + 1);
     estimates.push_back(count_template(g, trees[i], options).estimate);
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < trees.size(); ++i) {
     CountOptions options;
     options.sampling.iterations = iterations;
-    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.outer_copies = 1;
     options.execution.threads = ctx.threads;
     options.sampling.seed = ctx.seed + 0x9e3779b9u * (i + 1);
     const double estimate = count_template(big, trees[i], options).estimate;

@@ -2,7 +2,7 @@
 // any graph with every FASCIA option exposed.
 //
 //   build/examples/fascia_cli --dataset enron --template U7-2
-//       --iterations 100 --table compact --partition oaat --mode inner
+//       --iterations 100 --table compact --partition oaat --outer-copies 1
 //   build/examples/fascia_cli --graph my.edges --template-file my_tree.txt
 //   build/examples/fascia_cli --dataset ecoli --template U5-2 --enumerate 5
 //   build/examples/fascia_cli --dataset ecoli --template U5-2
@@ -79,14 +79,6 @@ fascia::PartitionStrategy parse_partition(const std::string& name) {
   if (name == "oaat") return fascia::PartitionStrategy::kOneAtATime;
   if (name == "balanced") return fascia::PartitionStrategy::kBalanced;
   throw std::invalid_argument("--partition must be oaat|balanced");
-}
-
-fascia::ParallelMode parse_mode(const std::string& name) {
-  if (name == "serial") return fascia::ParallelMode::kSerial;
-  if (name == "inner") return fascia::ParallelMode::kInnerLoop;
-  if (name == "outer") return fascia::ParallelMode::kOuterLoop;
-  if (name == "hybrid") return fascia::ParallelMode::kHybrid;
-  throw std::invalid_argument("--mode must be serial|inner|outer|hybrid");
 }
 
 // SIGINT cancels THIS session's active job and nothing else: the
@@ -166,15 +158,15 @@ int main(int argc, char** argv) {
   cli.add_option("table", "DP table layout: naive|compact|hash|succinct",
                  "compact");
   cli.add_option("partition", "partitioning: oaat|balanced", "oaat");
-  cli.add_option("mode", "parallel mode: serial|inner|outer|hybrid", "inner");
   cli.add_option("reorder",
                  "vertex reordering: none|degree|bfs|hybrid "
                  "(estimates are bit-identical; results use original ids)",
                  "none");
   cli.add_option("outer-copies",
-                 "hybrid mode: force this many outer engine copies "
-                 "(0 = cost model decides)",
-                 "0");
+                 "engine copies running whole iterations, each sweeping "
+                 "with threads/copies threads (1 = inner loop, 0 = one "
+                 "per thread: outer loop)",
+                 "1");
   cli.add_flag("verbose", "print reorder and thread-layout diagnostics");
   cli.add_option("enumerate", "also sample this many embeddings", "0");
   cli.add_option("apply-delta",
@@ -238,7 +230,6 @@ int main(int argc, char** argv) {
     options.sampling.num_colors = static_cast<int>(cli.integer("colors"));
     options.execution.table = parse_table(cli.str("table"));
     options.execution.partition = parse_partition(cli.str("partition"));
-    options.execution.mode = parse_mode(cli.str("mode"));
     options.execution.reorder = parse_reorder_mode(cli.str("reorder"));
     options.execution.outer_copies = static_cast<int>(cli.integer("outer-copies"));
     options.execution.threads = static_cast<int>(cli.integer("threads"));

@@ -6,19 +6,15 @@
 
 namespace fascia {
 
-const char* parallel_mode_name(ParallelMode mode) noexcept {
-  switch (mode) {
-    case ParallelMode::kSerial:
-      return "serial";
-    case ParallelMode::kInnerLoop:
-      return "inner";
-    case ParallelMode::kOuterLoop:
-      return "outer";
-    case ParallelMode::kHybrid:
-      return "hybrid";
-  }
-  return "?";
+namespace {
+
+/// Any resilience control set, including the ones active() ignores
+/// (spill directory, resume flag).
+bool run_controls_armed(const RunControls& run) {
+  return run.active() || !run.spill_dir.empty() || run.resume;
 }
+
+}  // namespace
 
 void CountOptions::validate() const {
   if (execution.threads < 0) {
@@ -26,16 +22,11 @@ void CountOptions::validate() const {
                       std::to_string(execution.threads));
   }
   if (execution.outer_copies < 0) {
-    throw usage_error("execution.outer_copies must be >= 0 (0 = cost model), got " +
-                      std::to_string(execution.outer_copies));
-  }
-  if (execution.outer_copies != 0 && execution.mode != ParallelMode::kHybrid) {
     throw usage_error(
-        std::string("execution.outer_copies is a hybrid-mode knob; mode is ") +
-        parallel_mode_name(execution.mode) +
-        " (set mode=kHybrid or leave outer_copies at 0)");
+        "execution.outer_copies must be >= 0 (0 = one per thread), got " +
+        std::to_string(execution.outer_copies));
   }
-  if (execution.outer_copies != 0 && execution.threads > 0 &&
+  if (execution.threads > 0 &&
       execution.outer_copies > execution.threads) {
     throw usage_error("execution.outer_copies (" +
                       std::to_string(execution.outer_copies) +
@@ -48,9 +39,7 @@ void CountOptions::validate() const {
           "execution.incremental and execution.reorder are mutually "
           "exclusive (retained tables are keyed on original vertex ids)");
     }
-    if (run.deadline_seconds > 0.0 || run.memory_budget_bytes != 0 ||
-        run.cancel != nullptr || !run.checkpoint_path.empty() ||
-        !run.spill_dir.empty() || run.resume) {
+    if (run_controls_armed(run)) {
       throw usage_error(
           "execution.incremental cannot combine with RunControls "
           "(deadline, memory budget, cancel, checkpoint/resume, spill): "
@@ -73,6 +62,22 @@ void reject_unsupported_reorder(const CountOptions& options, const char* api) {
   throw usage_error(std::string(api) +
                     " does not reorder the graph; set execution.reorder = "
                     "ReorderMode::kNone (it would be silently ignored)");
+}
+
+void reject_unsupported_run_controls(const CountOptions& options,
+                                     const char* api) {
+  if (run_controls_armed(options.run)) {
+    throw usage_error(std::string(api) +
+                      " does not read RunControls (deadline, memory budget, "
+                      "cancel, checkpoint/resume, spill); leave options.run "
+                      "unset (it would be silently ignored)");
+  }
+  if (options.execution.incremental) {
+    throw usage_error(std::string(api) +
+                      " does not retain DP state; leave "
+                      "execution.incremental off (it would be silently "
+                      "ignored)");
+  }
 }
 
 }  // namespace fascia

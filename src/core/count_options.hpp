@@ -10,12 +10,11 @@
 // the migration table.  Prefer the fluent builder:
 //
 //   auto options = CountOptions::builder()
-//                      .iterations(16).threads(8)
-//                      .mode(ParallelMode::kHybrid).outer_copies(2)
+//                      .iterations(16).threads(8).outer_copies(2)
 //                      .build();   // build() validates
 //
-// validate() rejects incoherent combinations (outer_copies without
-// kHybrid, resume without a checkpoint path, ...) with the structured
+// validate() rejects incoherent combinations (more outer copies than
+// threads, resume without a checkpoint path, ...) with the structured
 // Error taxonomy (util/error.hpp, kind kUsage) instead of silently
 // clamping.
 
@@ -31,26 +30,11 @@
 
 namespace fascia {
 
-/// §III-E: the paper's two multithreading modes plus the adaptive
-/// layout.  Inner parallelizes the per-vertex loop of each DP pass
-/// (best for large graphs); outer runs whole iterations concurrently
-/// with private tables (best for small graphs, memory grows with
-/// thread count); hybrid splits the threads into outer_copies x
-/// inner_threads by a cost model (table bytes x modeled frontier
-/// occupancy — sched/thread_layout.hpp).
-enum class ParallelMode {
-  kSerial,
-  kInnerLoop,
-  kOuterLoop,
-  kHybrid,
-};
-
-const char* parallel_mode_name(ParallelMode mode) noexcept;
-
-/// How the thread pool is split: outer_copies engines each run whole
-/// iterations with private tables, and each parallelizes its DP
-/// stages over inner_threads.  The static modes are the corners:
-/// outer = {threads, 1}, inner = {1, threads}, serial = {1, 1}.
+/// How the thread pool is split (§III-E): outer_copies engines each
+/// run whole iterations with private tables, and each parallelizes its
+/// DP stages over inner_threads.  The paper's modes are the corners:
+/// outer = {threads, 1}, inner = {1, threads}, serial = {1, 1}
+/// (sched/thread_layout.hpp resolves the knob).
 struct ThreadLayout {
   int outer_copies = 1;
   int inner_threads = 1;
@@ -82,7 +66,13 @@ struct ExecutionOptions {
   /// Share DP tables between rooted-isomorphic subtemplates (§III-C).
   bool share_tables = true;
 
-  ParallelMode mode = ParallelMode::kInnerLoop;
+  /// Engine copies that run whole iterations concurrently, each with
+  /// private tables and max(1, threads / copies) inner sweep threads.
+  /// 1 = the paper's inner loop (best for large graphs), 0 = one copy
+  /// per thread, its outer loop (best for small graphs; memory grows
+  /// with the copy count).  validate() rejects values above a pinned
+  /// thread count.
+  int outer_copies = 1;
 
   /// OpenMP threads; 0 = runtime default.
   int threads = 0;
@@ -97,12 +87,6 @@ struct ExecutionOptions {
   /// and non-tree count_mixed_template reject a non-default value
   /// with a usage error (they never reorder — see validate()).
   ReorderMode reorder = ReorderMode::kNone;
-
-  /// Hybrid mode only: force this many outer engine copies instead of
-  /// letting the cost model choose (0 = model decides).  validate()
-  /// rejects a nonzero value under any other mode, and values outside
-  /// [1, threads] when threads is pinned.
-  int outer_copies = 0;
 
   /// Route count_all_treelets through the sched batch engine
   /// (sched::run_batch): every template of the profile shares one
@@ -160,11 +144,11 @@ struct CountOptions {
   /// of the root), averaged across iterations.
   bool per_vertex = false;
 
-  /// Rejects incoherent combinations with Error(kUsage):
-  /// outer_copies without kHybrid (or out of range), negative thread
-  /// counts, resume without a checkpoint path, a checkpoint path with
-  /// a non-positive interval.  Called by every entry point and by
-  /// builder().build().
+  /// Rejects incoherent combinations with Error(kUsage): negative
+  /// thread or copy counts, more outer copies than pinned threads,
+  /// incremental with a reorder or armed RunControls, resume without a
+  /// checkpoint path, a checkpoint path with a non-positive interval.
+  /// Called by every entry point and by builder().build().
   void validate() const;
 
   class Builder;
@@ -196,10 +180,6 @@ class CountOptions::Builder {
   }
   Builder& share_tables(bool on) {
     opts_.execution.share_tables = on;
-    return *this;
-  }
-  Builder& mode(ParallelMode m) {
-    opts_.execution.mode = m;
     return *this;
   }
   Builder& threads(int n) {
@@ -290,8 +270,15 @@ class CountOptions::Builder {
 inline CountOptions::Builder CountOptions::builder() { return Builder(); }
 
 /// Reject a reorder request on an entry point that never reorders
-/// (count_triangles, non-tree count_mixed_template) with Error(kUsage).
+/// (count_triangles, non-tree count_mixed_template, a batch_engine
+/// count_all_treelets) with Error(kUsage).
 void reject_unsupported_reorder(const CountOptions& options, const char* api);
+
+/// Reject armed RunControls and execution.incremental on an entry point
+/// that never reads them (non-tree count_mixed_template) with
+/// Error(kUsage).
+void reject_unsupported_run_controls(const CountOptions& options,
+                                     const char* api);
 
 struct CountResult : RunOutcome {
   // RunOutcome provides: estimate, relative_stderr, run (RunReport),
@@ -318,8 +305,8 @@ struct CountResult : RunOutcome {
   int max_live_tables = 0;
   int num_subtemplates = 0;
 
-  /// Thread split the run executed with (hybrid: cost-model choice;
-  /// static modes: the corresponding corner).
+  /// Thread split the run executed with (outer_copies as resolved and
+  /// after any memory-plan cap).
   ThreadLayout layout;
 
   /// Locality-pass instrumentation (zero when reorder == kNone):

@@ -73,7 +73,6 @@ obs::RunReport count_report_header(const char* kind, const TreeTemplate& tmpl,
            ? "one_at_a_time"
            : "balanced"},
       {"execution.share_tables", format_bool(options.execution.share_tables)},
-      {"execution.mode", parallel_mode_name(options.execution.mode)},
       {"execution.threads", std::to_string(options.execution.threads)},
       {"execution.reorder", reorder_mode_name(options.execution.reorder)},
       {"execution.outer_copies",
@@ -106,7 +105,7 @@ CountResult drive_count(const Graph& graph, const TreeTemplate& tmpl,
   // One template: no cross-template interning, so the stage DAG is
   // exactly the template's own partition.
   batch.cross_template_reuse = false;
-  batch.mode = options.execution.mode;
+  batch.outer_copies = options.execution.outer_copies;
   batch.num_threads = options.execution.threads;
   batch.seed = options.sampling.seed;
   batch.run = options.run;
@@ -116,7 +115,6 @@ CountResult drive_count(const Graph& graph, const TreeTemplate& tmpl,
   jobs[0].iterations = options.sampling.iterations;
   inputs.root = options.root;
   inputs.per_vertex = options.per_vertex;
-  inputs.outer_copies = options.execution.outer_copies;
 
   sched::detail::CountOutputs outputs;
   sched::BatchResult batch_result = sched::detail::drive(

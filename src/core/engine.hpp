@@ -165,18 +165,9 @@ struct DpEngineOptions {
   std::shared_ptr<const LabelFrontiers> label_frontiers;
 
   /// Threads for the inner-parallel frontier sweep; 0 = the OpenMP
-  /// default.  The hybrid scheduler sets this so each outer engine
-  /// copy parallelizes its stages over its own thread share.
+  /// default.  sched::detail::drive sets this so each outer engine copy
+  /// parallelizes its stages over its own thread share.
   int inner_threads = 0;
-
-  /// Reverse-guided frontier sweep instead of forward-dynamic.  With a
-  /// hub-first vertex order (degree/hybrid reorder) the heaviest
-  /// vertices sit at the FRONT of every frontier; a forward guided
-  /// schedule would pack them all into the first (largest) chunk.
-  /// Sweeping the frontier back-to-front hands out the cheap tail in
-  /// large chunks and the expensive hubs in the final small ones, so
-  /// no single thread serializes the hub block.
-  bool guided_schedule = false;
 
   /// Out-of-core paging (run/spill.hpp): with both knobs set, completed
   /// sub-template tables beyond spill_budget_bytes page to checksummed
@@ -1049,27 +1040,15 @@ class DpEngine {
       if (workspaces_.size() < static_cast<std::size_t>(threads)) {
         workspaces_.resize(static_cast<std::size_t>(threads));
       }
-      const bool guided = opts_.guided_schedule;
 #pragma omp parallel num_threads(threads)
       {
         Workspace& ws =
             workspaces_[static_cast<std::size_t>(omp_get_thread_num())];
         prepare(ws);
-        if (guided) {
-          // Back-to-front guided sweep (see DpEngineOptions
-          // ::guided_schedule): cheap tail first in big chunks, hub
-          // block last in small ones.
-#pragma omp for schedule(guided, chunk)
-          for (std::size_t i = 0; i < count; ++i) {
-            const VertexId v = front[count - 1 - i];
-            if (body(v, ws)) ws.survivors.push_back(v);
-          }
-        } else {
 #pragma omp for schedule(dynamic, chunk)
-          for (std::size_t i = 0; i < count; ++i) {
-            const VertexId v = front[i];
-            if (body(v, ws)) ws.survivors.push_back(v);
-          }
+        for (std::size_t i = 0; i < count; ++i) {
+          const VertexId v = front[i];
+          if (body(v, ws)) ws.survivors.push_back(v);
         }
 #pragma omp critical(fascia_frontier_merge)
         {

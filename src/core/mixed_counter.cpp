@@ -16,6 +16,7 @@
 #include "dp/table_naive.hpp"
 #include "dp/table_succinct.hpp"
 #include "obs/report.hpp"
+#include "sched/thread_layout.hpp"
 #include "util/mem_tracker.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -68,43 +69,35 @@ CountResult run_mixed(const Graph& graph, const MixedTemplate& tmpl,
   WallTimer total_timer;
   {
     PeakMemScope peak_scope(peak_bytes);
-    if (options.execution.mode == ParallelMode::kOuterLoop) {
+    // The run_batch layout (sched/thread_layout.hpp): each outer copy
+    // runs whole iterations with a private engine that sweeps over its
+    // inner-thread share.
+    const ThreadLayout layout = resolve_layout(
+        options.execution.outer_copies, options.execution.threads);
+    const bool parallel_inner = layout.inner_threads > 1;
 #ifdef _OPENMP
-#pragma omp parallel num_threads( \
-    options.execution.threads > 0 ? options.execution.threads : omp_get_max_threads())
+    if (layout.outer_copies > 1 && parallel_inner) {
+      omp_set_max_active_levels(2);
+    }
+#pragma omp parallel num_threads(layout.outer_copies)
 #endif
-      {
-        MixedDpEngine<Table> engine(graph, tmpl, partition, k);
+    {
+      MixedDpEngine<Table> engine(graph, tmpl, partition, k,
+                                  layout.inner_threads);
 #ifdef _OPENMP
 #pragma omp for schedule(dynamic, 1)
 #endif
-        for (int iter = 0; iter < iterations; ++iter) {
-          WallTimer timer;
-          const auto colors =
-              random_coloring(graph, k, iteration_seed(options.sampling.seed, iter));
-          result.per_iteration[static_cast<std::size_t>(iter)] =
-              engine.run(colors, /*parallel_inner=*/false) * scale;
-          result.seconds_per_iteration[static_cast<std::size_t>(iter)] =
-              timer.elapsed_s();
-        }
-      }
-    } else {
-      // The mixed engine has no hybrid scheduler; kHybrid degrades to
-      // the inner sweep (its serial-corner layout).
-      const bool inner = options.execution.mode == ParallelMode::kInnerLoop ||
-                         options.execution.mode == ParallelMode::kHybrid;
-      MixedDpEngine<Table> engine(graph, tmpl, partition, k,
-                                  options.execution.threads);
       for (int iter = 0; iter < iterations; ++iter) {
         WallTimer timer;
         const auto colors =
             random_coloring(graph, k, iteration_seed(options.sampling.seed, iter));
         result.per_iteration[static_cast<std::size_t>(iter)] =
-            engine.run(colors, inner) * scale;
+            engine.run(colors, parallel_inner) * scale;
         result.seconds_per_iteration[static_cast<std::size_t>(iter)] =
             timer.elapsed_s();
       }
     }
+    result.layout = layout;
   }
   result.peak_table_bytes = peak_bytes;
   result.seconds_total = total_timer.elapsed_s();
@@ -122,13 +115,16 @@ CountResult run_mixed(const Graph& graph, const MixedTemplate& tmpl,
       {"sampling.num_colors", std::to_string(k)},
       {"sampling.seed", std::to_string(options.sampling.seed)},
       {"execution.table", table_kind_name(options.execution.table)},
-      {"execution.mode", parallel_mode_name(options.execution.mode)},
+      {"execution.outer_copies",
+       std::to_string(options.execution.outer_copies)},
       {"execution.threads", std::to_string(options.execution.threads)},
   };
   report->graph.vertices = static_cast<std::int64_t>(graph.num_vertices());
   report->graph.edges = static_cast<std::int64_t>(graph.num_edges());
   report->graph.max_degree = static_cast<std::int64_t>(graph.max_degree());
   report->graph.labeled = graph.has_labels();
+  report->threads.outer_copies = result.layout.outer_copies;
+  report->threads.inner_threads = result.layout.inner_threads;
   report->tmpl.vertices = tmpl.size();
   report->tmpl.subtemplates = result.num_subtemplates;
   report->sampling.requested_iterations = iterations;
@@ -157,9 +153,11 @@ CountResult count_mixed_template(const Graph& graph,
   if (tmpl.is_tree()) {
     return count_template(graph, tmpl.as_tree(), options);
   }
-  // The mixed DP has no reorder plumbing and would silently ignore the
-  // request — reject instead (the tree path above does support it).
+  // The mixed DP has no reorder, run-control or retention plumbing and
+  // would silently ignore those requests — reject instead (the tree
+  // path above supports them).
   reject_unsupported_reorder(options, "count_mixed_template (non-tree)");
+  reject_unsupported_run_controls(options, "count_mixed_template (non-tree)");
   options.validate();
   switch (options.execution.table) {
     case TableKind::kNaive:

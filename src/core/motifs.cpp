@@ -19,8 +19,6 @@ namespace {
 void finish_profile(MotifProfile& profile, const CountOptions& options) {
   profile.estimate = 0.0;
   for (double count : profile.counts) profile.estimate += count;
-  profile.run.requested_iterations = options.sampling.iterations;
-  profile.run.completed_iterations = options.sampling.iterations;
 
   auto report = std::make_shared<obs::RunReport>();
   report->kind = "count_all_treelets";
@@ -55,6 +53,9 @@ void finish_profile(MotifProfile& profile, const CountOptions& options) {
 MotifProfile count_all_treelets_batch(const Graph& graph,
                                       MotifProfile profile,
                                       const CountOptions& options) {
+  // run_batch takes a reordered graph only through
+  // count_template's one-job path; a profile would silently ignore it.
+  reject_unsupported_reorder(options, "count_all_treelets (batch_engine)");
   WallTimer total_timer;
   std::vector<sched::BatchJob> jobs;
   jobs.reserve(profile.trees.size());
@@ -70,9 +71,11 @@ MotifProfile count_all_treelets_batch(const Graph& graph,
   batch_options.table = options.execution.table;
   batch_options.partition = options.execution.partition;
   batch_options.share_tables = options.execution.share_tables;
-  batch_options.mode = options.execution.mode;
+  batch_options.outer_copies = options.execution.outer_copies;
   batch_options.num_threads = options.execution.threads;
   batch_options.seed = options.sampling.seed;
+  batch_options.run = options.run;
+  batch_options.observability = options.observability;
 
   const sched::BatchResult batch = sched::run_batch(graph, jobs,
                                                     batch_options);
@@ -128,6 +131,8 @@ MotifProfile count_all_treelets(const Graph& graph, int k,
       profile.run.status = result.run.status;  // first non-clean wins
     }
   }
+  profile.run.requested_iterations = options.sampling.iterations;
+  profile.run.completed_iterations = options.sampling.iterations;
   profile.seconds_total = total_timer.elapsed_s();
   finish_profile(profile, options);
   return profile;

@@ -17,17 +17,12 @@ Graph::Graph(std::vector<EdgeCount> offsets, std::vector<VertexId> adjacency)
       offsets_.back() != static_cast<EdgeCount>(adjacency_.size())) {
     throw std::invalid_argument("Graph: offsets do not frame adjacency");
   }
-  if (!std::is_sorted(offsets_.begin(), offsets_.end())) {
-    throw std::invalid_argument("Graph: offsets must be non-decreasing");
-  }
-}
-
-EdgeCount Graph::max_degree() const noexcept {
-  EdgeCount best = 0;
   for (VertexId v = 0; v < num_vertices(); ++v) {
-    best = std::max(best, degree(v));
+    if (degree(v) < 0) {
+      throw std::invalid_argument("Graph: offsets must be non-decreasing");
+    }
+    max_degree_ = std::max(max_degree_, degree(v));
   }
-  return best;
 }
 
 double Graph::avg_degree() const noexcept {
@@ -75,11 +70,15 @@ void Graph::apply(const GraphDelta& delta) {
   }
 
   std::vector<EdgeCount> offsets(static_cast<std::size_t>(n) + 1, 0);
+  EdgeCount max_degree = 0;
   for (VertexId v = 0; v < n; ++v) {
-    offsets[static_cast<std::size_t>(v) + 1] =
-        offsets[static_cast<std::size_t>(v)] + degree(v) +
+    const EdgeCount new_degree =
+        degree(v) +
         static_cast<EdgeCount>(gains[static_cast<std::size_t>(v)].size()) -
         static_cast<EdgeCount>(losses[static_cast<std::size_t>(v)].size());
+    offsets[static_cast<std::size_t>(v) + 1] =
+        offsets[static_cast<std::size_t>(v)] + new_degree;
+    max_degree = std::max(max_degree, new_degree);
   }
   std::vector<VertexId> adjacency(static_cast<std::size_t>(offsets.back()));
   for (VertexId v = 0; v < n; ++v) {
@@ -102,6 +101,7 @@ void Graph::apply(const GraphDelta& delta) {
   }
   offsets_ = std::move(offsets);
   adjacency_ = std::move(adjacency);
+  max_degree_ = max_degree;
   ++version_;
 }
 

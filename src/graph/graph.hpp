@@ -61,7 +61,9 @@ class Graph {
            offsets_[static_cast<std::size_t>(v)];
   }
 
-  [[nodiscard]] EdgeCount max_degree() const noexcept;
+  /// Largest vertex degree, kept current by the constructor and
+  /// apply() (O(1); reports read it on every run).
+  [[nodiscard]] EdgeCount max_degree() const noexcept { return max_degree_; }
   [[nodiscard]] double avg_degree() const noexcept;
 
   [[nodiscard]] bool has_edge(VertexId u, VertexId v) const noexcept;
@@ -104,6 +106,7 @@ class Graph {
  private:
   std::vector<EdgeCount> offsets_;
   std::vector<VertexId> adjacency_;
+  EdgeCount max_degree_ = 0;
   std::vector<std::uint8_t> labels_;
   int num_label_values_ = 0;
   std::uint64_t version_ = 0;

@@ -87,7 +87,6 @@ Json RunReport::to_json() const {
   doc["memory"] = std::move(m);
 
   Json th = Json::object();
-  th["mode"] = threads.mode;
   th["outer_copies"] = threads.outer_copies;
   th["inner_threads"] = threads.inner_threads;
   th["omp_max_threads"] = threads.omp_max_threads;
@@ -222,7 +221,6 @@ bool RunReport::from_json(const Json& doc, RunReport* out,
     rep.memory.degradations = strings_from(m->find("degradations"));
   }
   if (const Json* th = doc.find("threads")) {
-    rep.threads.mode = th->get_string("mode");
     rep.threads.outer_copies = static_cast<int>(th->get_int("outer_copies", 1));
     rep.threads.inner_threads =
         static_cast<int>(th->get_int("inner_threads", 1));

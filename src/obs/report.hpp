@@ -100,7 +100,6 @@ struct RunReport {
   } memory;
 
   struct Threads {
-    std::string mode;
     int outer_copies = 1;
     int inner_threads = 1;
     int omp_max_threads = 1;

@@ -22,7 +22,7 @@
 //     the remaining iterations shrink to the stages hard templates
 //     still need;
 //   * iterations are the outer OpenMP work units (private tables per
-//     thread, as in ParallelMode::kOuterLoop), each spanning all still
+//     engine copy, the paper's outer loop), each spanning all still
 //     active templates.
 //
 // Determinism: job j's iteration i always uses the coloring derived
@@ -79,13 +79,11 @@ struct BatchOptions {
   /// path (bit-identical estimates either way; see header comment).
   bool cross_template_reuse = true;
 
-  /// kOuterLoop parallelizes over iterations (each spanning all active
-  /// jobs, private tables per thread); kInnerLoop parallelizes the
-  /// per-vertex loop inside each stage; kSerial is single-threaded.
-  /// kHybrid splits the pool into outer_copies x inner_threads with
-  /// the cost model count_template uses too (choose_layout fed a
-  /// modeled frontier occupancy).
-  ParallelMode mode = ParallelMode::kOuterLoop;
+  /// Engine copies that run iterations concurrently (each spanning all
+  /// active jobs, private tables per copy), each sweeping its stages
+  /// with max(1, num_threads / copies) inner threads.  0 = one copy
+  /// per thread (the paper's outer loop), 1 = its inner loop.
+  int outer_copies = 0;
 
   /// OpenMP threads; 0 = runtime default.
   int num_threads = 0;
@@ -195,7 +193,8 @@ struct BatchResult : RunOutcome {
   }
 
   /// Thread layout the batch executed with (outer engine copies x
-  /// inner sweep threads); {1, 1} for serial runs.
+  /// inner sweep threads, after any memory-plan cap); {1, 1} for
+  /// serial runs.
   ThreadLayout layout;
 };
 

@@ -56,9 +56,6 @@ struct CountInputs {
   /// original ids.
   const Permutation* perm = nullptr;
 
-  /// Hybrid mode: force this many outer engine copies (0 = model).
-  int outer_copies = 0;
-
   /// In/out slot of a retained run.  Non-null: every iteration's tables
   /// are kept in *retained (created when empty).  With `dirty` also
   /// set, the run is a delta pass: iteration i adopts its retained
@@ -106,8 +103,8 @@ namespace fascia::detail {
 
 /// count_template's body, shared with the incremental counter: runs
 /// `tmpl` as a one-job batch on drive() and converts the BatchResult
-/// into a CountResult.  Root, per_vertex and outer_copies come from
-/// `options`, the rest of `inputs` from the caller.  Defined in
+/// into a CountResult.  Root and per_vertex come from `options`, the
+/// rest of `inputs` from the caller.  Defined in
 /// core/counter.cpp.
 CountResult drive_count(const Graph& graph, const TreeTemplate& tmpl,
                         const CountOptions& options, obs::RunReport header,

@@ -92,10 +92,9 @@ struct RetainedPassesOf final : detail::RetainedPasses {
 
 /// Run-layer configuration resolved once, before table-type dispatch.
 struct Setup {
-  ParallelMode mode = ParallelMode::kOuterLoop;  ///< after any demotion
-  int threads = 1;                               ///< resolved pool size
+  int threads = 1;      ///< resolved pool size
+  ThreadLayout layout;  ///< after demotion and the memory plan's cap
   TableKind table = TableKind::kCompact;
-  int engine_copies = 1;  ///< memory plan's cap on outer engine copies
   bool ladder_degraded = false;
   bool spill = false;  ///< plan took the out-of-core rung
   std::uint64_t fingerprint = 0;
@@ -120,37 +119,34 @@ Setup resolve_setup(const Graph& graph, const std::vector<BatchJob>& jobs,
                     const BatchOptions& options, const BatchPlan& plan,
                     const CountInputs* count) {
   Setup setup;
-  setup.mode = options.mode;
   setup.threads = resolve_threads(options.num_threads);
+  ThreadLayout layout =
+      resolve_layout(options.outer_copies, options.num_threads);
   const bool per_vertex = count != nullptr && count->per_vertex;
   // Early-stopped multi-copy runs can only keep a contiguous iteration
   // prefix, but per-vertex sums cannot be un-merged per iteration —
-  // demote to inner parallelism, whose accumulation is exact per
-  // iteration.  (Estimates are mode-independent by construction.)
-  if (per_vertex && options.run.active() &&
-      (setup.mode == ParallelMode::kOuterLoop ||
-       setup.mode == ParallelMode::kHybrid)) {
+  // demote to one copy, whose accumulation is exact per iteration.
+  // (Estimates are layout-independent by construction.)
+  if (per_vertex && options.run.active() && layout.outer_copies > 1) {
     setup.report.degradations.push_back(
-        std::string("per-vertex resilient run: ") +
-        parallel_mode_name(setup.mode) + " mode demoted to inner");
-    setup.mode = ParallelMode::kInnerLoop;
+        "per-vertex resilient run: outer copies demoted to one");
+    layout = resolve_layout(1, options.num_threads);
   }
 
-  // Outer and hybrid plan for their most copies (planned_engine_copies);
-  // the layout chooser then respects the plan's engine-copy cap.
-  // copies x threads_per_copy never exceeds the pool, so the workspace
-  // total is a valid upper bound.  Without a budget the plan only
-  // records its estimate; the ladder runs under a budget alone.
+  // The plan prices the resolved layout; copies x inner threads never
+  // exceeds the pool, so the workspace total is a valid upper bound.
+  // A capped run gives its leftover threads to the inner sweeps.
+  // Without a budget the plan only records its estimate; the ladder
+  // runs under a budget alone.
   const run::MemoryPlan memory = run::plan_memory(
       plan.merged, plan.num_colors, graph.num_vertices(), graph.has_labels(),
-      options.table,
-      planned_engine_copies(setup.mode, options.num_threads,
-                            count != nullptr ? count->outer_copies : 0),
-      options.run.memory_budget_bytes,
-      setup.mode == ParallelMode::kInnerLoop ? setup.threads : 1,
+      options.table, layout.outer_copies, options.run.memory_budget_bytes,
+      layout.inner_threads,
       /*spill_available=*/!options.run.spill_dir.empty());
   setup.table = memory.table;
-  setup.engine_copies = memory.engine_copies;
+  setup.layout.outer_copies = memory.engine_copies;
+  setup.layout.inner_threads =
+      std::max(1, setup.threads / memory.engine_copies);
   setup.spill = memory.spill;
   setup.ladder_degraded = !memory.degradations.empty();
   setup.report.degradations.insert(setup.report.degradations.end(),
@@ -206,50 +202,13 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
              std::vector<double>* vertex_sums, CountOutputs* count_out,
              std::vector<obs::ReportStage>* stages) {
   const int k = plan.num_colors;
-  const bool hybrid = setup.mode == ParallelMode::kHybrid;
-  const int threads = setup.mode == ParallelMode::kOuterLoop
-                          ? std::min(setup.threads, setup.engine_copies)
-                          : setup.threads;
-
-  // Resolve the outer x inner split.  The static modes are layout
-  // corners.  Hybrid feeds choose_layout a modeled occupancy instead of
-  // spending an iteration to measure it: unlabeled sweeps visit nearly
-  // every vertex, labeled frontiers are sparse.
-  ThreadLayout layout;  // serial: {1, 1}
-  if (setup.mode == ParallelMode::kInnerLoop) {
-    layout.inner_threads = threads;
-  } else if (setup.mode == ParallelMode::kOuterLoop) {
-    layout.outer_copies = threads;
-  } else if (hybrid) {
-    int longest_job = 1;
-    for (const BatchJob& job : jobs) {
-      longest_job =
-          std::max(longest_job, job.target_relative_stderr > 0.0
-                                    ? job.max_iterations
-                                    : job.iterations);
-    }
-    LayoutInputs in;
-    in.threads = threads;
-    in.iterations = longest_job;
-    in.num_vertices = graph.num_vertices();
-    in.frontier_occupancy = graph.has_labels() ? 0.15 : 0.85;
-    in.table_bytes_per_copy = run::estimate_peak_bytes(
-        plan.merged, k, graph.num_vertices(), setup.table,
-        graph.has_labels());
-    in.memory_budget_bytes = options.run.memory_budget_bytes;
-    in.forced_outer_copies = count != nullptr ? count->outer_copies : 0;
-    layout = choose_layout(in);
-    if (layout.outer_copies > setup.engine_copies) {
-      layout.outer_copies = setup.engine_copies;
-      layout.inner_threads = std::max(1, threads / layout.outer_copies);
-    }
-  }
+  const ThreadLayout layout = setup.layout;
   const bool outer = layout.outer_copies > 1;
   const bool parallel_inner = layout.inner_threads > 1;
   out.layout = layout;
 
   const int round = options.round_iterations > 0 ? options.round_iterations
-                                                 : std::max(4, threads);
+                                                 : std::max(4, setup.threads);
 #ifdef _OPENMP
   if (outer && parallel_inner) omp_set_max_active_levels(2);
 #endif
@@ -277,14 +236,12 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   engines.reserve(static_cast<std::size_t>(engine_count));
   // The per-label frontier lists are graph-global: build them once and
   // share them across all engine copies.  Every copy sweeps its stages
-  // over its thread share; the guided (reverse) schedule keeps a
-  // hub-first vertex order from serializing one chunk.
+  // over its thread share.
   DpEngineOptions engine_opts;
   engine_opts.reference_kernels = t_reference_kernels;
   engine_opts.collect_stats =
       obs::enabled() && options.observability.collect_stages;
   engine_opts.inner_threads = layout.inner_threads;
-  engine_opts.guided_schedule = hybrid;
 
   // Retained runs keep iteration i's tables in slot i, whichever copy
   // computed them; a delta pass re-adopts them from there.
@@ -881,7 +838,6 @@ BatchResult drive(const Graph& graph, const std::vector<BatchJob>& jobs,
   report->memory.spill_events = result.run.spill_events;
   report->memory.table = table_kind_name(result.run.table_used);
   report->memory.degradations = result.run.degradations;
-  report->threads.mode = parallel_mode_name(options.mode);
   report->threads.outer_copies = result.layout.outer_copies;
   report->threads.inner_threads = result.layout.inner_threads;
 #ifdef _OPENMP
@@ -972,7 +928,7 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
       {"share_tables", options.share_tables ? "true" : "false"},
       {"cross_template_reuse",
        options.cross_template_reuse ? "true" : "false"},
-      {"mode", parallel_mode_name(options.mode)},
+      {"outer_copies", std::to_string(options.outer_copies)},
       {"num_threads", std::to_string(options.num_threads)},
       {"min_iterations", std::to_string(options.min_iterations)},
       {"round_iterations", std::to_string(options.round_iterations)},

@@ -40,26 +40,33 @@ TableKind table_from_name(const std::string& name) {
   bad_request("unknown table kind '" + name + "'");
 }
 
-ParallelMode mode_from_name(const std::string& name) {
-  if (name == "serial") return ParallelMode::kSerial;
-  if (name == "inner") return ParallelMode::kInnerLoop;
-  if (name == "outer") return ParallelMode::kOuterLoop;
-  if (name == "hybrid") return ParallelMode::kHybrid;
-  bad_request("unknown parallel mode '" + name + "'");
-}
-
-const char* mode_to_name(ParallelMode mode) {
-  switch (mode) {
-    case ParallelMode::kSerial:
-      return "serial";
-    case ParallelMode::kInnerLoop:
-      return "inner";
-    case ParallelMode::kOuterLoop:
-      return "outer";
-    case ParallelMode::kHybrid:
-      return "hybrid";
+/// Decodes the thread layout after "threads": the v3 "outer_copies"
+/// key, or the legacy "mode" key every v2 encoder and job journal
+/// wrote ("inner" = 1 copy, "outer" = one per thread, "serial" = one
+/// copy on one thread).  Leaves the defaults when neither is present.
+void layout_from_json(const Json& spec, int& outer_copies, int& threads) {
+  const Json* mode = spec.find("mode");
+  if (mode == nullptr) {
+    outer_copies =
+        static_cast<int>(spec.get_int("outer_copies", outer_copies));
+    return;
   }
-  return "inner";
+  if (spec.find("outer_copies") != nullptr) {
+    bad_request("legacy key 'mode' cannot combine with 'outer_copies'; "
+                "send outer_copies only");
+  }
+  const std::string name = mode->as_string();
+  if (name == "inner") {
+    outer_copies = 1;
+  } else if (name == "outer") {
+    outer_copies = 0;
+  } else if (name == "serial") {
+    outer_copies = 1;
+    threads = 1;
+  } else {
+    bad_request("legacy parallel mode '" + name +
+                "' is not supported; set outer_copies instead");
+  }
 }
 
 PartitionStrategy partition_from_name(const std::string& name) {
@@ -179,7 +186,7 @@ Json count_options_to_json(const CountOptions& options) {
   out["seed"] = options.sampling.seed;
   out["table"] = table_kind_name(options.execution.table);
   out["partition"] = partition_to_name(options.execution.partition);
-  out["mode"] = mode_to_name(options.execution.mode);
+  out["outer_copies"] = options.execution.outer_copies;
   out["threads"] = options.execution.threads;
   out["reorder"] = reorder_mode_name(options.execution.reorder);
   if (options.run.deadline_seconds > 0) {
@@ -209,8 +216,9 @@ CountOptions count_options_from_json(const Json& spec) {
   if (spec.is_null()) return options;
   if (!spec.is_object()) bad_request("options must be an object");
   check_keys(spec,
-             {"iterations", "colors", "seed", "table", "partition", "mode",
-              "threads", "reorder", "kernel_family", "incremental",
+             {"iterations", "colors", "seed", "table", "partition",
+              "outer_copies", "mode", "threads", "reorder", "kernel_family",
+              "incremental",
               "deadline_seconds", "memory_budget_bytes", "spill_dir",
               "checkpoint_every", "root", "per_vertex", "observability",
               "label"},
@@ -227,10 +235,9 @@ CountOptions count_options_from_json(const Json& spec) {
   if (const Json* partition = spec.find("partition")) {
     options.execution.partition = partition_from_name(partition->as_string());
   }
-  if (const Json* mode = spec.find("mode")) {
-    options.execution.mode = mode_from_name(mode->as_string());
-  }
   options.execution.threads = static_cast<int>(spec.get_int("threads", 0));
+  layout_from_json(spec, options.execution.outer_copies,
+                   options.execution.threads);
   if (const Json* reorder = spec.find("reorder")) {
     options.execution.reorder = parse_reorder_mode(reorder->as_string());
   }
@@ -262,7 +269,7 @@ Json batch_options_to_json(const sched::BatchOptions& options) {
   out["seed"] = options.seed;
   out["table"] = table_kind_name(options.table);
   out["partition"] = partition_to_name(options.partition);
-  out["mode"] = mode_to_name(options.mode);
+  out["outer_copies"] = options.outer_copies;
   out["threads"] = options.num_threads;
   out["cross_template_reuse"] = options.cross_template_reuse;
   out["min_iterations"] = options.min_iterations;
@@ -286,8 +293,8 @@ sched::BatchOptions batch_options_from_json(const Json& spec) {
   if (spec.is_null()) return options;
   if (!spec.is_object()) bad_request("options must be an object");
   check_keys(spec,
-             {"colors", "seed", "table", "partition", "mode", "threads",
-              "cross_template_reuse", "min_iterations", "round_iterations",
+             {"colors", "seed", "table", "partition", "outer_copies", "mode",
+              "threads", "cross_template_reuse", "min_iterations", "round_iterations",
               "adaptive_batch", "deadline_seconds", "memory_budget_bytes",
               "spill_dir", "observability"},
              "batch options");
@@ -299,10 +306,8 @@ sched::BatchOptions batch_options_from_json(const Json& spec) {
   if (const Json* partition = spec.find("partition")) {
     options.partition = partition_from_name(partition->as_string());
   }
-  if (const Json* mode = spec.find("mode")) {
-    options.mode = mode_from_name(mode->as_string());
-  }
   options.num_threads = static_cast<int>(spec.get_int("threads", 0));
+  layout_from_json(spec, options.outer_copies, options.num_threads);
   options.cross_template_reuse = spec.get_bool("cross_template_reuse", true);
   options.min_iterations =
       static_cast<int>(spec.get_int("min_iterations", 4));

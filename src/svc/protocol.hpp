@@ -44,8 +44,10 @@ using obs::Json;
 
 /// Current protocol major version, echoed in every terminal response.
 /// Version 2 added graph mutation: mutate_graph/recount ops, graph
-/// version tokens, and the capabilities array.
-inline constexpr int kProtocolVersion = 2;
+/// version tokens, and the capabilities array.  Version 3 replaced the
+/// options' "mode" key with "outer_copies" (decoders still accept
+/// "mode").
+inline constexpr int kProtocolVersion = 3;
 
 /// The server's feature list, as a JSON array of strings.  A client
 /// checks for the capability before sending the op it names:

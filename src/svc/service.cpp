@@ -233,8 +233,9 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
                                       table, bo.partition,
                                       bo.share_tables,
                                       /*root=*/-1,
-                                      planned_engine_copies(bo.mode,
-                                                            bo.num_threads),
+                                      resolve_layout(bo.outer_copies,
+                                                     bo.num_threads)
+                                          .outer_copies,
                                       bo.num_threads));
       }
       return worst;
@@ -243,8 +244,8 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
     return estimate_job_bytes(
         registry_, record->spec.tmpl, n, co.sampling.num_colors, table,
         co.execution.partition, co.execution.share_tables, co.root,
-        planned_engine_copies(co.execution.mode, co.execution.threads,
-                              co.execution.outer_copies),
+        resolve_layout(co.execution.outer_copies, co.execution.threads)
+            .outer_copies,
         co.execution.threads,
         co.execution.incremental ? co.sampling.iterations : 0);
   };

@@ -46,7 +46,7 @@ TEST(Accuracy, PracticalIterationsFarBelowTheoretical) {
   const double exact = testing::brute_force_maps(g, tree) / 2.0;
   CountOptions options;
   options.sampling.iterations = 25;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const CountResult result = count_template(g, tree, options);
   const double error =
       std::abs(result.estimate - exact) / exact;
@@ -58,7 +58,7 @@ TEST(Accuracy, StderrShrinksWithIterations) {
   const Graph g = test_graph();
   const TreeTemplate& tree = catalog_entry("U5-2").tree;
   CountOptions options;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.iterations = 20;
   const double few = estimate_relative_stderr(
       count_template(g, tree, options));
@@ -85,7 +85,7 @@ TEST(Accuracy, AdaptiveStopsEarlyOnEasyInstances) {
   const Graph g = test_graph();
   const TreeTemplate tree = TreeTemplate::path(3);
   CountOptions options;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const AdaptiveResult adaptive =
       adaptive_count(g, tree, /*target=*/0.05, /*max=*/2000, options,
                      /*batch=*/8);
@@ -104,7 +104,7 @@ TEST(Accuracy, AdaptiveHitsCapOnImpossibleTargets) {
   const Graph g = test_graph();
   const TreeTemplate& tree = catalog_entry("U5-2").tree;
   CountOptions options;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const AdaptiveResult adaptive =
       adaptive_count(g, tree, /*target=*/1e-9, /*max=*/20, options, 8);
   EXPECT_FALSE(adaptive.converged);
@@ -115,7 +115,7 @@ TEST(Accuracy, AdaptiveDeterministicInSeed) {
   const Graph g = test_graph();
   const TreeTemplate& tree = catalog_entry("U5-1").tree;
   CountOptions options;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = 5;
   const auto a = adaptive_count(g, tree, 0.1, 200, options, 16);
   const auto b = adaptive_count(g, tree, 0.1, 200, options, 16);

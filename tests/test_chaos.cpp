@@ -153,7 +153,7 @@ svc::JobSpec batch_spec(int iterations, const std::string& request_id) {
   job.iterations = iterations;
   spec.batch_jobs.push_back(job);
   spec.batch_options.seed = 77;
-  spec.batch_options.mode = ParallelMode::kSerial;
+  spec.batch_options.num_threads = 1;
   spec.priority = svc::Priority::kBatch;
   spec.request_id = request_id;
   return spec;
@@ -166,7 +166,7 @@ svc::JobSpec interactive_spec() {
   spec.tmpl = catalog_entry("U5-1").tree;
   spec.options.sampling.iterations = 2;
   spec.options.sampling.seed = 5;
-  spec.options.execution.mode = ParallelMode::kSerial;
+  spec.options.execution.threads = 1;
   spec.priority = svc::Priority::kInteractive;
   return spec;
 }
@@ -262,7 +262,7 @@ TEST(ChaosService, RestartResumesParkedBatchBitIdentically) {
   jobs[0].iterations = 300;
   sched::BatchOptions options;
   options.seed = 77;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   const sched::BatchResult expected = sched::run_batch(graph, jobs, options);
 
   svc::Service::Config config;
@@ -407,7 +407,7 @@ Json wire_batch_request(int iterations, const std::string& request_id) {
   request["jobs"] = std::move(jobs);
   Json options = Json::object();
   options["seed"] = 77;
-  options["mode"] = "serial";
+  options["threads"] = 1;
   request["options"] = std::move(options);
   return request;
 }
@@ -432,7 +432,7 @@ TEST(ChaosServer, Kill9MidJobThenRestartReplaysBitIdentically) {
   jobs[0].iterations = 400;
   sched::BatchOptions options;
   options.seed = 77;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   const sched::BatchResult expected = sched::run_batch(graph, jobs, options);
 
   const pid_t pid = spawn_server(bin, args, temp_path("chaos_k9_a.log"));
@@ -520,7 +520,7 @@ Json wire_count_request(int iterations, std::uint64_t seed,
   Json options = Json::object();
   options["iterations"] = iterations;
   options["seed"] = seed;
-  options["mode"] = "serial";
+  options["threads"] = 1;
   request["options"] = std::move(options);
   return request;
 }
@@ -536,7 +536,7 @@ TEST_F(ChaosFault, TornAndDroppedRepliesAreRetriedToTheSameResult) {
   CountOptions direct;
   direct.sampling.iterations = 6;
   direct.sampling.seed = 29;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected =
       count_template(graph, catalog_entry("U5-2").tree, direct);
 

@@ -261,31 +261,30 @@ struct IncrementalCase {
   bool labeled;
 };
 
-// Table layout x thread layout.  Outer and hybrid runs compute
-// iterations on two engine copies, so a retained pass may be recounted
-// by a different copy than the one that computed it.
+// Table layout x thread layout (outer_copies on 4 threads: 1 = inner,
+// 0 = one copy per thread, 2 = nested 2 x 2).  Multi-copy runs compute
+// iterations on several engine copies, so a retained pass may be
+// recounted by a different copy than the one that computed it.
 class IncrementalBitIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<IncrementalCase, ParallelMode>> {};
+    : public ::testing::TestWithParam<std::tuple<IncrementalCase, int>> {};
 
 TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
   const IncrementalCase param = std::get<0>(GetParam());
-  const ParallelMode mode = std::get<1>(GetParam());
+  const int outer_copies = std::get<1>(GetParam());
   Graph g = grid_graph();
   TreeTemplate tmpl = TreeTemplate::path(7);
   if (param.labeled) {
     assign_random_labels(g, 3, 21);
     tmpl.set_labels({0, 1, 2, 1, 0, 2, 1});
   }
-  const int threads = mode == ParallelMode::kSerial ? 1 : 2;
   const CountOptions options = CountOptions::builder()
                                    .iterations(3)
                                    .seed(42)
                                    .table(param.table)
                                    .partition(PartitionStrategy::kBalanced)
                                    .per_vertex(true)
-                                   .mode(mode)
-                                   .threads(threads)
+                                   .outer_copies(outer_copies)
+                                   .threads(4)
                                    .build();
 
   RunHandle handle = begin_incremental(g, tmpl, options);
@@ -323,8 +322,7 @@ INSTANTIATE_TEST_SUITE_P(
                           IncrementalCase{TableKind::kSuccinct, false},
                           IncrementalCase{TableKind::kCompact, true},
                           IncrementalCase{TableKind::kHash, true}),
-        ::testing::Values(ParallelMode::kSerial, ParallelMode::kInnerLoop,
-                          ParallelMode::kOuterLoop, ParallelMode::kHybrid)));
+        ::testing::Values(1, 0, 2)));
 
 TEST(Incremental, DeleteOnlyAndInsertOnlyDeltas) {
   Graph g = grid_graph();

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
 #include "helpers.hpp"
 #include "util/error.hpp"
 
@@ -77,6 +78,35 @@ TEST(Graph, DegreeStatistics) {
   const Graph g = star_graph(6);
   EXPECT_EQ(g.max_degree(), 5);
   EXPECT_DOUBLE_EQ(g.avg_degree(), 10.0 / 6.0);
+}
+
+TEST(Graph, MaxDegreeTracksApply) {
+  const auto scan = [](const Graph& g) {
+    EdgeCount best = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      best = std::max(best, g.degree(v));
+    }
+    return best;
+  };
+  Graph g = path_graph(6);
+  EXPECT_EQ(g.max_degree(), 2);
+
+  GraphDelta raise;  // vertex 0 becomes the hub
+  raise.insert(0, 2);
+  raise.insert(0, 3);
+  raise.insert(0, 4);
+  g.apply(raise);
+  EXPECT_EQ(g.max_degree(), 4);
+  EXPECT_EQ(g.max_degree(), scan(g));
+
+  GraphDelta lower;  // ... and loses every edge again
+  lower.remove(0, 1);
+  lower.remove(0, 2);
+  lower.remove(0, 3);
+  lower.remove(0, 4);
+  g.apply(lower);
+  EXPECT_EQ(g.max_degree(), 2);
+  EXPECT_EQ(g.max_degree(), scan(g));
 }
 
 TEST(Graph, EdgeListRoundTrip) {

@@ -27,7 +27,7 @@ TEST(Integration, ErrorFallsWithIterationsOnCircuit) {
 
   CountOptions options;
   options.sampling.iterations = 600;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = 5;
   const CountResult result = count_template(g, tree, options);
   const auto running = result.running_estimates();
@@ -41,7 +41,7 @@ TEST(Integration, MotifProfilesDistinguishTopologies) {
   // profiles than two power-law nets of different sizes.
   CountOptions options;
   options.sampling.iterations = 120;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
 
   const auto hpylori =
       count_all_treelets(make_dataset("hpylori", 1.0, 3), 5, options)
@@ -70,7 +70,7 @@ TEST(Integration, GddAgreementImprovesWithIterations) {
 
   CountOptions few;
   few.sampling.iterations = 1;
-  few.execution.mode = ParallelMode::kSerial;
+  few.execution.threads = 1;
   few.sampling.seed = 2;
   CountOptions many = few;
   many.sampling.iterations = 300;
@@ -96,7 +96,7 @@ TEST(Integration, LabeledPipelineFasterSearchSpace) {
 
   CountOptions options;
   options.sampling.iterations = 2;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const CountResult unlabeled = count_template(g, base, options);
 
   Graph labeled_graph = g;
@@ -112,7 +112,7 @@ TEST(Integration, SeedReproducibilityAcrossPipelines) {
   const Graph g = make_dataset("celegans", 1.0, 29);
   CountOptions options;
   options.sampling.iterations = 3;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = 99;
   const auto first = count_template(g, catalog_entry("U7-2").tree, options);
   const auto second = count_template(g, catalog_entry("U7-2").tree, options);

@@ -42,7 +42,7 @@ CountOptions base_options() {
   CountOptions options;
   options.sampling.iterations = 4;
   options.sampling.seed = 42;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   return options;
 }
 
@@ -223,7 +223,7 @@ obs::RunReport full_report() {
   report.memory.observed_peak_bytes = 1 << 19;
   report.memory.table = "compact";
   report.memory.degradations = {"hash-fallback"};
-  report.threads = {"hybrid", 2, 4, 8};
+  report.threads = {2, 4, 8};
   report.run.status = "deadline";
   report.run.resumed = true;
   report.run.resumed_iterations = 2;
@@ -329,15 +329,15 @@ TEST(ObsReport, EstimatesBitIdenticalObsOnAndOff) {
   EXPECT_EQ(plain.estimate, traced.estimate);
 }
 
-TEST(ObsReport, EstimatesBitIdenticalAcrossModesWithObsOn) {
+TEST(ObsReport, EstimatesBitIdenticalAcrossLayoutsWithObsOn) {
   ObsOff off;
   const Graph g = test_graph();
   const TreeTemplate tree = TreeTemplate::path(6);
   std::vector<CountResult> runs;
-  for (ParallelMode mode : {ParallelMode::kSerial, ParallelMode::kInnerLoop,
-                            ParallelMode::kOuterLoop}) {
+  for (int copies : {1, 0, 2}) {
     CountOptions options = base_options();
-    options.execution.mode = mode;
+    options.execution.outer_copies = copies;
+    options.execution.threads = 4;
     options.observability.enabled = true;
     runs.push_back(count_template(g, tree, options));
   }
@@ -345,7 +345,7 @@ TEST(ObsReport, EstimatesBitIdenticalAcrossModesWithObsOn) {
     ASSERT_EQ(runs[0].per_iteration.size(), runs[r].per_iteration.size());
     for (std::size_t i = 0; i < runs[0].per_iteration.size(); ++i) {
       EXPECT_EQ(runs[0].per_iteration[i], runs[r].per_iteration[i])
-          << "mode " << r << " iteration " << i;
+          << "layout " << r << " iteration " << i;
     }
     // The attached reports agree on everything but wall time.
     ASSERT_NE(runs[r].report, nullptr);
@@ -386,7 +386,6 @@ TEST(ObsOptions, BuilderBuildsAndValidates) {
                                    .colors(6)
                                    .seed(99)
                                    .table(TableKind::kHash)
-                                   .mode(ParallelMode::kHybrid)
                                    .threads(4)
                                    .outer_copies(2)
                                    .label("builder-test")
@@ -395,21 +394,15 @@ TEST(ObsOptions, BuilderBuildsAndValidates) {
   EXPECT_EQ(options.sampling.num_colors, 6);
   EXPECT_EQ(options.sampling.seed, 99u);
   EXPECT_EQ(options.execution.table, TableKind::kHash);
-  EXPECT_EQ(options.execution.mode, ParallelMode::kHybrid);
   EXPECT_EQ(options.execution.outer_copies, 2);
   EXPECT_EQ(options.observability.label, "builder-test");
 }
 
 TEST(ObsOptions, ValidateRejectsIncoherentCombinations) {
-  // outer_copies pinned without hybrid mode.
-  EXPECT_THROW(CountOptions::builder()
-                   .mode(ParallelMode::kInnerLoop)
-                   .outer_copies(2)
-                   .build(),
-               Error);
+  // A negative copy count.
+  EXPECT_THROW(CountOptions::builder().outer_copies(-1).build(), Error);
   // outer_copies beyond the pinned thread count.
   EXPECT_THROW(CountOptions::builder()
-                   .mode(ParallelMode::kHybrid)
                    .threads(2)
                    .outer_copies(4)
                    .build(),

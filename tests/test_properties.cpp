@@ -32,7 +32,7 @@ TEST_P(RandomInstance, PrefixOfLongerRunEqualsShorterRun) {
   const Graph g = make_graph();
   const TreeTemplate tree = TreeTemplate::path(4);
   CountOptions options;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = static_cast<std::uint64_t>(GetParam()) + 100;
   options.sampling.iterations = 5;
   const auto shorter = count_template(g, tree, options);
@@ -48,7 +48,7 @@ TEST_P(RandomInstance, EstimatesNonNegativeAndFinite) {
   for (const TreeTemplate& tree : all_free_trees(5)) {
     CountOptions options;
     options.sampling.iterations = 3;
-    options.execution.mode = ParallelMode::kSerial;
+    options.execution.threads = 1;
     options.sampling.seed = static_cast<std::uint64_t>(GetParam());
     const CountResult result = count_template(g, tree, options);
     EXPECT_GE(result.estimate, 0.0);
@@ -65,7 +65,7 @@ TEST_P(RandomInstance, PerVertexNonNegativeAndSumConsistent) {
   const TreeTemplate tree = TreeTemplate::star(4);
   CountOptions options;
   options.sampling.iterations = 4;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = static_cast<std::uint64_t>(GetParam());
   const CountResult result = graphlet_degrees(g, tree, 0, options);
   double sum = 0.0;

@@ -125,13 +125,16 @@ TEST(ReorderMode, NamesParseRoundTrip) {
 
 // ---- bit-identical counting ----------------------------------------------
 
-CountOptions reorder_options(ReorderMode reorder, ParallelMode mode,
-                             TableKind table) {
+/// Serial by default; the layout matrices pass outer_copies with 4
+/// threads.
+CountOptions reorder_options(ReorderMode reorder, TableKind table,
+                             int outer_copies = 1, int threads = 1) {
   CountOptions options;
   options.sampling.iterations = 4;
   options.sampling.seed = 77;
   options.execution.reorder = reorder;
-  options.execution.mode = mode;
+  options.execution.outer_copies = outer_copies;
+  options.execution.threads = threads;
   options.execution.table = table;
   return options;
 }
@@ -145,13 +148,11 @@ TEST(ReorderCounting, BitIdenticalAcrossModesTablesAndLayouts) {
         TableKind::kSuccinct}) {
     const CountResult reference = count_template(
         g, tree,
-        reorder_options(ReorderMode::kNone, ParallelMode::kSerial, table));
+        reorder_options(ReorderMode::kNone, table));
     for (ReorderMode reorder : kAllModes) {
-      for (ParallelMode mode :
-           {ParallelMode::kSerial, ParallelMode::kInnerLoop,
-            ParallelMode::kOuterLoop, ParallelMode::kHybrid}) {
-        const CountResult result =
-            count_template(g, tree, reorder_options(reorder, mode, table));
+      for (int copies : {1, 0, 2}) {
+        const CountResult result = count_template(
+            g, tree, reorder_options(reorder, table, copies, 4));
         ASSERT_EQ(result.per_iteration.size(),
                   reference.per_iteration.size());
         for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
@@ -159,7 +160,7 @@ TEST(ReorderCounting, BitIdenticalAcrossModesTablesAndLayouts) {
                            reference.per_iteration[i])
               << "table=" << static_cast<int>(table)
               << " reorder=" << reorder_mode_name(reorder)
-              << " mode=" << parallel_mode_name(mode) << " iter=" << i;
+              << " outer_copies=" << copies << " iter=" << i;
         }
         EXPECT_DOUBLE_EQ(result.estimate, reference.estimate);
       }
@@ -174,14 +175,14 @@ TEST(ReorderCounting, BitIdenticalAgainstReferenceKernels) {
   sched::detail::use_reference_kernels(true);
   const CountResult reference = count_template(
       g, tree,
-      reorder_options(ReorderMode::kNone, ParallelMode::kSerial,
+      reorder_options(ReorderMode::kNone,
                       TableKind::kCompact));
   sched::detail::use_reference_kernels(false);
 
   for (ReorderMode reorder : kAllModes) {
     const CountResult result = count_template(
         g, tree,
-        reorder_options(reorder, ParallelMode::kHybrid, TableKind::kCompact));
+        reorder_options(reorder, TableKind::kCompact, 2, 4));
     ASSERT_EQ(result.per_iteration.size(), reference.per_iteration.size());
     for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
       EXPECT_DOUBLE_EQ(result.per_iteration[i], reference.per_iteration[i])
@@ -198,14 +199,14 @@ TEST(ReorderCounting, LabeledBitIdenticalAcrossReorders) {
 
   const CountResult reference = count_template(
       g, tree,
-      reorder_options(ReorderMode::kNone, ParallelMode::kSerial,
+      reorder_options(ReorderMode::kNone,
                       TableKind::kCompact));
   for (ReorderMode reorder :
        {ReorderMode::kDegree, ReorderMode::kBfs, ReorderMode::kHybrid}) {
     for (TableKind table :
          {TableKind::kCompact, TableKind::kHash, TableKind::kSuccinct}) {
       const CountResult result = count_template(
-          g, tree, reorder_options(reorder, ParallelMode::kHybrid, table));
+          g, tree, reorder_options(reorder, table, 2, 4));
       ASSERT_EQ(result.per_iteration.size(),
                 reference.per_iteration.size());
       for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
@@ -222,7 +223,7 @@ TEST(ReorderCounting, GraphletDegreesKeyedByOriginalIds) {
   const TreeTemplate& tree = catalog_entry("U5-2").tree;
 
   CountOptions options = reorder_options(
-      ReorderMode::kNone, ParallelMode::kSerial, TableKind::kCompact);
+      ReorderMode::kNone, TableKind::kCompact);
   const CountResult reference = graphlet_degrees(g, tree, 0, options);
   ASSERT_EQ(reference.vertex_counts.size(),
             static_cast<std::size_t>(g.num_vertices()));
@@ -244,14 +245,14 @@ TEST(ReorderCounting, InstrumentationFilledOnlyWhenReordering) {
   const TreeTemplate& tree = catalog_entry("U5-2").tree;
   const CountResult plain = count_template(
       g, tree,
-      reorder_options(ReorderMode::kNone, ParallelMode::kSerial,
+      reorder_options(ReorderMode::kNone,
                       TableKind::kCompact));
   EXPECT_EQ(plain.reorder_gap_before, 0.0);
   EXPECT_EQ(plain.reorder_gap_after, 0.0);
 
   const CountResult reordered = count_template(
       g, tree,
-      reorder_options(ReorderMode::kHybrid, ParallelMode::kSerial,
+      reorder_options(ReorderMode::kHybrid,
                       TableKind::kCompact));
   EXPECT_GT(reordered.reorder_gap_before, 0.0);
   EXPECT_GT(reordered.reorder_gap_after, 0.0);
@@ -267,7 +268,7 @@ TEST(ReorderCounting, CheckpointResumeAcrossReorderModesBitIdentical) {
   std::remove(path.c_str());
 
   CountOptions options = reorder_options(
-      ReorderMode::kNone, ParallelMode::kSerial, TableKind::kCompact);
+      ReorderMode::kNone, TableKind::kCompact);
   options.sampling.iterations = 8;
   options.per_vertex = true;
   const CountResult uninterrupted = count_template(g, tree, options);

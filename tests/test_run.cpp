@@ -41,7 +41,7 @@ Graph test_graph() { return testing::complete_graph(9); }
 CountOptions base_options() {
   CountOptions options;
   options.sampling.iterations = 10;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = 123;
   return options;
 }
@@ -632,7 +632,7 @@ TEST(ResilientCount, OuterModeResumeBitIdentical) {
 
   CountOptions reference_options = base_options();
   reference_options.sampling.iterations = 8;
-  reference_options.execution.mode = ParallelMode::kOuterLoop;
+  reference_options.execution.outer_copies = 0;
   reference_options.execution.threads = 2;
   const CountResult reference = count_template(g, tree, reference_options);
 
@@ -703,7 +703,7 @@ TEST(ResilientBatch, PagedRunSpillsAndStaysBitIdentical) {
   }
   sched::BatchOptions batch;
   batch.table = TableKind::kSuccinct;
-  batch.mode = ParallelMode::kSerial;
+  batch.num_threads = 1;
   batch.seed = 123;
   const sched::BatchResult reference = sched::run_batch(g, jobs, batch);
 
@@ -860,7 +860,7 @@ TEST(ResilientBatch, DeadlineYieldsHonestPartial) {
   jobs[0].tmpl = catalog_entry("U5-2").tree;
   jobs[0].iterations = 100;
   sched::BatchOptions options;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   options.seed = 5;
   options.run.deadline_seconds = 1e-9;
   const sched::BatchResult result = sched::run_batch(g, jobs, options);
@@ -881,7 +881,7 @@ TEST(ResilientBatch, ResumeExtendsToBitIdenticalEstimates) {
   full_jobs[1].max_iterations = 20;
 
   sched::BatchOptions options;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   options.seed = 17;
   const sched::BatchResult reference = sched::run_batch(g, full_jobs, options);
 
@@ -966,7 +966,7 @@ TEST_F(FaultFixture, BatchCrashThenResumeBitIdentical) {
   jobs[0].tmpl = catalog_entry("U5-2").tree;
   jobs[0].iterations = 8;
   sched::BatchOptions options;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   options.seed = 29;
   const sched::BatchResult reference = sched::run_batch(g, jobs, options);
 

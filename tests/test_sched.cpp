@@ -45,7 +45,7 @@ CountResult reference(const Graph& g, const TreeTemplate& tree,
   options.sampling.iterations = iterations;
   options.sampling.seed = seed;
   options.sampling.num_colors = num_colors;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   return count_template(g, tree, options);
 }
 
@@ -89,24 +89,28 @@ TEST(Sched, ReuseDisabledBitIdentical) {
   EXPECT_DOUBLE_EQ(batch.cache_hit_rate(), 0.0);
 }
 
-TEST(Sched, DeterministicAcrossModesAndThreads) {
+TEST(Sched, DeterministicAcrossLayoutsAndTables) {
+  // Every table layout, serial against outer_copies 1, 0 and 2 on 4
+  // threads (inner, outer and nested 2 x 2).
   const Graph g = test_graph();
   const auto jobs = fixed_jobs(5, 3);
-  sched::BatchOptions serial;
-  serial.seed = 5;
-  serial.mode = ParallelMode::kSerial;
-  sched::BatchOptions outer = serial;
-  outer.mode = ParallelMode::kOuterLoop;
-  outer.num_threads = 4;
-  sched::BatchOptions inner = serial;
-  inner.mode = ParallelMode::kInnerLoop;
-  inner.num_threads = 2;
-  const auto a = sched::run_batch(g, jobs, serial);
-  const auto b = sched::run_batch(g, jobs, outer);
-  const auto c = sched::run_batch(g, jobs, inner);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    EXPECT_EQ(a.jobs[j].per_iteration, b.jobs[j].per_iteration);
-    EXPECT_EQ(a.jobs[j].per_iteration, c.jobs[j].per_iteration);
+  for (TableKind table : {TableKind::kNaive, TableKind::kCompact,
+                          TableKind::kHash, TableKind::kSuccinct}) {
+    sched::BatchOptions serial;
+    serial.seed = 5;
+    serial.table = table;
+    serial.num_threads = 1;
+    const auto a = sched::run_batch(g, jobs, serial);
+    for (int copies : {1, 0, 2}) {
+      sched::BatchOptions layout = serial;
+      layout.outer_copies = copies;
+      layout.num_threads = 4;
+      const auto b = sched::run_batch(g, jobs, layout);
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        EXPECT_EQ(a.jobs[j].per_iteration, b.jobs[j].per_iteration)
+            << table_kind_name(table) << " outer_copies " << copies;
+      }
+    }
   }
 }
 
@@ -115,57 +119,60 @@ TEST(Sched, LeavesOmpThreadCountUnchanged) {
   // Threads reach the engines through DpEngineOptions::inner_threads
   // only: no entry point may reset the caller's OpenMP default.
   const int before = omp_get_max_threads();
-  const int pinned = before > 1 ? 1 : 2;
+  const int pinned = before == 2 ? 3 : 2;
   const Graph g = test_graph();
   const auto jobs = fixed_jobs(5, 2);
-  for (ParallelMode mode : {ParallelMode::kSerial, ParallelMode::kInnerLoop,
-                            ParallelMode::kOuterLoop, ParallelMode::kHybrid}) {
+  // Serial, inner, outer and nested outer x inner layouts.
+  const std::vector<std::pair<int, int>> layouts = {
+      {1, 1}, {1, pinned}, {0, pinned}, {2, pinned}};
+  for (const auto& [copies, threads] : layouts) {
     sched::BatchOptions batch;
-    batch.mode = mode;
-    batch.num_threads = pinned;
+    batch.outer_copies = copies;
+    batch.num_threads = threads;
     sched::run_batch(g, jobs, batch);
     EXPECT_EQ(omp_get_max_threads(), before)
-        << "run_batch " << parallel_mode_name(mode);
+        << "run_batch " << copies << " x " << threads;
 
     CountOptions count;
     count.sampling.iterations = 2;
-    count.execution.mode = mode;
-    count.execution.threads = pinned;
+    count.execution.outer_copies = copies;
+    count.execution.threads = threads;
     count_template(g, jobs.front().tmpl, count);
     EXPECT_EQ(omp_get_max_threads(), before)
-        << "count_template " << parallel_mode_name(mode);
+        << "count_template " << copies << " x " << threads;
   }
 #else
   GTEST_SKIP() << "built without OpenMP";
 #endif
 }
 
-TEST(Sched, HybridLayoutMatchesCountTemplate) {
-  // Both entry points take the hybrid split from the driver's one
-  // occupancy model, so a one-job batch and count_template agree on
-  // the layout as well as on every estimate.
+TEST(Sched, LayoutMatchesCountTemplate) {
+  // Both entry points resolve outer_copies through the one
+  // resolver, so a one-job batch and count_template agree on the
+  // layout as well as on every estimate.
   const Graph small = test_graph();
   const Graph large = erdos_renyi_gnm(20000, 40000, 3);
   const TreeTemplate tmpl = all_free_trees(5).front();
   for (const Graph* g : {&small, &large}) {
-    for (int iterations : {3, 8}) {
+    for (int copies : {1, 0, 2}) {
+      const int iterations = 3;
       CountOptions count;
       count.sampling.iterations = iterations;
       count.sampling.seed = 21;
-      count.execution.mode = ParallelMode::kHybrid;
+      count.execution.outer_copies = copies;
       count.execution.threads = 4;
       const CountResult direct = count_template(*g, tmpl, count);
 
       sched::BatchOptions options;
-      options.mode = ParallelMode::kHybrid;
+      options.outer_copies = copies;
       options.num_threads = 4;
       options.seed = 21;
       const sched::BatchResult batch =
           sched::run_batch(*g, {{tmpl, iterations}}, options);
       EXPECT_EQ(direct.layout.outer_copies, batch.layout.outer_copies)
-          << g->num_vertices() << " vertices, " << iterations << " its";
+          << g->num_vertices() << " vertices, outer_copies " << copies;
       EXPECT_EQ(direct.layout.inner_threads, batch.layout.inner_threads)
-          << g->num_vertices() << " vertices, " << iterations << " its";
+          << g->num_vertices() << " vertices, outer_copies " << copies;
       EXPECT_EQ(direct.per_iteration, batch.jobs[0].per_iteration);
     }
   }
@@ -242,7 +249,7 @@ TEST(Sched, AdaptiveStopsWithinCapAndTracksExact) {
     jobs.push_back(std::move(job));
   }
   sched::BatchOptions options;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   options.round_iterations = 16;
   options.seed = 3;
   const sched::BatchResult batch = sched::run_batch(g, jobs, options);
@@ -289,7 +296,7 @@ TEST(Sched, AdaptiveBatchSingleJobMatchesUniform) {
   job.max_iterations = 600;
   jobs.push_back(std::move(job));
   sched::BatchOptions uniform;
-  uniform.mode = ParallelMode::kSerial;
+  uniform.num_threads = 1;
   uniform.round_iterations = 16;
   uniform.seed = 3;
   sched::BatchOptions greedy = uniform;
@@ -327,7 +334,7 @@ TEST(Sched, AdaptiveBatchReallocatesBudgetToHardJob) {
   jobs.push_back(std::move(fixed));
 
   sched::BatchOptions uniform;
-  uniform.mode = ParallelMode::kSerial;
+  uniform.num_threads = 1;
   uniform.round_iterations = 8;
   uniform.seed = 11;
   sched::BatchOptions greedy = uniform;
@@ -387,7 +394,7 @@ TEST(Sched, MotifProfileBatchFlagMatchesSharedSeedPath) {
   CountOptions options;
   options.sampling.iterations = 3;
   options.sampling.seed = 31;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.execution.batch_engine = true;
   const MotifProfile profile = count_all_treelets(g, 5, options);
   ASSERT_EQ(profile.counts.size(), 3u);

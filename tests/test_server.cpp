@@ -98,7 +98,7 @@ Json count_request(const std::string& graph, const std::string& tmpl,
   Json options = Json::object();
   options["iterations"] = iterations;
   options["seed"] = seed;
-  options["mode"] = "serial";
+  options["threads"] = 1;
   request["options"] = std::move(options);
   return request;
 }
@@ -108,7 +108,7 @@ TEST(SvcServer, CountOverTcpBitIdenticalToDirectCall) {
   CountOptions direct;
   direct.sampling.iterations = 6;
   direct.sampling.seed = 29;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected =
       count_template(graph, catalog_entry("U5-2").tree, direct);
 
@@ -170,7 +170,7 @@ TEST(SvcServer, GddOverTheWireMatchesDirectCall) {
   CountOptions direct;
   direct.sampling.iterations = 3;
   direct.sampling.seed = 11;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected =
       graphlet_degrees(graph, catalog_entry("U5-2").tree, orbit, direct);
 
@@ -206,7 +206,7 @@ TEST(SvcServer, BatchOverTheWireMatchesDirectCall) {
   jobs[1].iterations = 3;
   sched::BatchOptions options;
   options.seed = 21;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   const sched::BatchResult expected = sched::run_batch(graph, jobs, options);
 
   svc::Server::Config config;
@@ -230,7 +230,7 @@ TEST(SvcServer, BatchOverTheWireMatchesDirectCall) {
   request["jobs"] = std::move(wire_jobs);
   Json batch_options = Json::object();
   batch_options["seed"] = 21;
-  batch_options["mode"] = "serial";
+  batch_options["threads"] = 1;
   request["options"] = std::move(batch_options);
 
   const Json response = client.request(request);
@@ -379,7 +379,7 @@ TEST(SvcServer, MutateGraphAndRecountOverTheWire) {
   CountOptions direct;
   direct.sampling.iterations = 4;
   direct.sampling.seed = 17;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected =
       count_template(mirror, catalog_entry("U5-1").tree, direct);
 

@@ -12,7 +12,7 @@ TEST(Significance, StructureAndDeterminism) {
   const Graph g = largest_component(chung_lu(250, 750, 2.2, 50, 9));
   CountOptions options;
   options.sampling.iterations = 30;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   options.sampling.seed = 3;
   const auto a = motif_significance(g, 4, 4, options);
   EXPECT_EQ(a.k, 4);
@@ -31,7 +31,7 @@ TEST(Significance, RandomGraphHasNoStrongMotifs) {
   const Graph g = largest_component(erdos_renyi_gnm(300, 900, 5));
   CountOptions options;
   options.sampling.iterations = 60;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const auto sig = motif_significance(g, 4, 6, options);
   for (double z : sig.z_scores) {
     EXPECT_LT(std::abs(z), 12.0);
@@ -47,7 +47,7 @@ TEST(Significance, PlantedStructureDetected) {
   const Graph g = largest_component(contact_network(600, 12.0, 4));
   CountOptions options;
   options.sampling.iterations = 60;
-  options.execution.mode = ParallelMode::kSerial;
+  options.execution.threads = 1;
   const auto sig = motif_significance(g, 4, 6, options);
   double max_abs_z = 0.0;
   for (double z : sig.z_scores) max_abs_z = std::max(max_abs_z, std::abs(z));

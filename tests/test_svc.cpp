@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,7 +54,7 @@ svc::JobSpec count_spec(const std::string& graph, const TreeTemplate& tmpl,
   spec.tmpl = tmpl;
   spec.options.sampling.iterations = iterations;
   spec.options.sampling.seed = seed;
-  spec.options.execution.mode = ParallelMode::kSerial;
+  spec.options.execution.threads = 1;
   return spec;
 }
 
@@ -141,7 +142,7 @@ TEST(SvcService, CountJobBitIdenticalToDirectCall) {
   CountOptions direct;
   direct.sampling.iterations = 6;
   direct.sampling.seed = 7;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(graph, tmpl, direct);
 
   svc::Service service({});
@@ -165,7 +166,7 @@ TEST(SvcService, GddJobMatchesDirectGraphletDegrees) {
   CountOptions direct;
   direct.sampling.iterations = 4;
   direct.sampling.seed = 5;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   direct.root = orbit;
   const CountResult expected = graphlet_degrees(graph, tmpl, orbit, direct);
 
@@ -195,7 +196,7 @@ TEST(SvcService, BatchJobMatchesDirectRunBatch) {
   }
   sched::BatchOptions options;
   options.seed = 23;
-  options.mode = ParallelMode::kSerial;
+  options.num_threads = 1;
   const sched::BatchResult expected = sched::run_batch(graph, jobs, options);
 
   svc::Service service({});
@@ -267,15 +268,14 @@ TEST(SvcService, AdmissionRejectsJobsThatCanNeverFit) {
 }
 
 TEST(SvcService, HybridAdmissionQuotesEveryOuterCopy) {
-  // On a small graph no inner thread gets a useful frontier share, so
-  // the hybrid layout runs every thread as an outer copy with private
+  // outer_copies = 0 runs every thread as an outer copy with private
   // tables; admission must price all of them.
   const TreeTemplate tmpl = catalog_entry("U7-1").tree;
   const Graph graph = erdos_renyi_gnm(1000, 4000, 3);
   svc::Service service({});
   service.registry().put("g", graph);
   svc::JobSpec spec = count_spec("g", tmpl, 4);
-  spec.options.execution.mode = ParallelMode::kHybrid;
+  spec.options.execution.outer_copies = 0;
   spec.options.execution.threads = 4;
   const CountOptions options = spec.options;
   const svc::JobId id = service.submit(std::move(spec));
@@ -322,7 +322,7 @@ TEST(SvcService, AdmissionRequotesSuccinctInsteadOfRejecting) {
   CountOptions direct;
   direct.sampling.iterations = 2;
   direct.sampling.seed = 7;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   direct.execution.table = TableKind::kSuccinct;
   const CountResult expected = count_template(graph, tmpl, direct);
 
@@ -369,7 +369,7 @@ TEST(SvcService, PreemptedBatchJobResumesToBitIdenticalResult) {
   CountOptions direct;
   direct.sampling.iterations = kIterations;
   direct.sampling.seed = 31;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(graph, tmpl, direct);
 
   svc::Service::Config config;
@@ -455,7 +455,7 @@ TEST(SvcCheckpoint, ConcurrentJobsShareAWorkDirWithoutCollisions) {
     CountOptions options;
     options.sampling.iterations = 8;
     options.sampling.seed = seed;
-    options.execution.mode = ParallelMode::kSerial;
+    options.execution.threads = 1;
     options.run.checkpoint_path = dir;  // a DIRECTORY, not a file
     options.run.checkpoint_every = 2;
     return count_template(graph, catalog_entry(name).tree, options);
@@ -478,7 +478,7 @@ TEST(SvcCheckpoint, ConcurrentJobsShareAWorkDirWithoutCollisions) {
   CountOptions resume;
   resume.sampling.iterations = 8;
   resume.sampling.seed = 3;
-  resume.execution.mode = ParallelMode::kSerial;
+  resume.execution.threads = 1;
   resume.run.checkpoint_path = dir;
   resume.run.resume = true;
   const CountResult resumed =
@@ -559,7 +559,7 @@ TEST(SvcDelta, RecountAfterMutationMatchesDirectFullCount) {
   CountOptions direct;
   direct.sampling.iterations = 5;
   direct.sampling.seed = 13;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(mirror, tmpl, direct);
   ASSERT_EQ(got.per_iteration.size(), expected.per_iteration.size());
   for (std::size_t i = 0; i < expected.per_iteration.size(); ++i) {
@@ -616,7 +616,7 @@ TEST(SvcDelta, RecountComposesAcrossMultipleMutations) {
   CountOptions direct;
   direct.sampling.iterations = 4;
   direct.sampling.seed = 19;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(mirror, tmpl, direct);
   ASSERT_EQ(got.per_iteration.size(), expected.per_iteration.size());
   for (std::size_t i = 0; i < expected.per_iteration.size(); ++i) {
@@ -812,7 +812,7 @@ TEST(SvcService, FinishedJobsReleaseTheirGraphVersion) {
   batch.graph = "g";
   batch.preemptible = false;
   batch.batch_jobs.push_back({tmpl, 2});
-  batch.batch_options.mode = ParallelMode::kSerial;
+  batch.batch_options.num_threads = 1;
   expect_released(batch, svc::JobState::kCompleted);
 
   // A labeled template against an unlabeled graph passes submit and
@@ -854,7 +854,7 @@ TEST(SvcService, PreemptedJobKeepsItsGraphVersion) {
   CountOptions direct;
   direct.sampling.iterations = kIterations;
   direct.sampling.seed = 31;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(graph, tmpl, direct);
 
   svc::Service::Config config;
@@ -1043,7 +1043,7 @@ TEST(SvcService, LegacyJournalWithKernelFamilyReplays) {
   CountOptions direct;
   direct.sampling.iterations = 4;
   direct.sampling.seed = 11;
-  direct.execution.mode = ParallelMode::kSerial;
+  direct.execution.threads = 1;
   const CountResult expected = count_template(
       load_or_make("enron", "", 0.05, 1), catalog_entry("U5-1").tree, direct);
 
@@ -1059,6 +1059,118 @@ TEST(SvcService, LegacyJournalWithKernelFamilyReplays) {
   const CountResult replayed = service.count_result(id);
   EXPECT_EQ(replayed.estimate, expected.estimate);
   EXPECT_EQ(replayed.per_iteration, expected.per_iteration);
+}
+
+// ---- legacy "mode" key -----------------------------------------------------
+// Protocol 2 encoders and journals wrote a "mode" key (serial, inner,
+// outer, hybrid) where protocol 3 writes "outer_copies".  The decoders
+// map the three layout corners and reject "hybrid".
+
+obs::Json parse_json(const std::string& text) {
+  std::optional<obs::Json> json = obs::Json::parse(text);
+  EXPECT_TRUE(json.has_value()) << text;
+  return json ? *json : obs::Json();
+}
+
+void expect_bad_request_naming_outer_copies(const std::function<void()>& call) {
+  try {
+    call();
+    ADD_FAILURE() << "request was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kBadInput);
+    EXPECT_NE(std::string(e.what()).find("outer_copies"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SvcProtocol, LegacyModeKeyDecodes) {
+  struct Case {
+    const char* legacy;
+    const char* v3;
+  };
+  for (const Case& c :
+       {Case{R"({"mode":"inner","threads":3})",
+             R"({"outer_copies":1,"threads":3})"},
+        Case{R"({"mode":"outer","threads":3})",
+             R"({"outer_copies":0,"threads":3})"},
+        Case{R"({"mode":"serial","threads":3})",
+             R"({"outer_copies":1,"threads":1})"}}) {
+    const CountOptions count =
+        svc::count_options_from_json(parse_json(c.legacy));
+    const CountOptions count_v3 = svc::count_options_from_json(parse_json(c.v3));
+    EXPECT_EQ(count.execution.outer_copies, count_v3.execution.outer_copies)
+        << c.legacy;
+    EXPECT_EQ(count.execution.threads, count_v3.execution.threads) << c.legacy;
+    const sched::BatchOptions batch =
+        svc::batch_options_from_json(parse_json(c.legacy));
+    const sched::BatchOptions batch_v3 =
+        svc::batch_options_from_json(parse_json(c.v3));
+    EXPECT_EQ(batch.outer_copies, batch_v3.outer_copies) << c.legacy;
+    EXPECT_EQ(batch.num_threads, batch_v3.num_threads) << c.legacy;
+  }
+
+  for (const char* rejected : {R"({"mode":"hybrid","threads":4})",
+                               R"({"mode":"inner","outer_copies":2})"}) {
+    expect_bad_request_naming_outer_copies(
+        [&] { (void)svc::count_options_from_json(parse_json(rejected)); });
+    expect_bad_request_naming_outer_copies(
+        [&] { (void)svc::batch_options_from_json(parse_json(rejected)); });
+  }
+
+  // Protocol 3 encoders write outer_copies and no mode.
+  CountOptions options;
+  options.execution.outer_copies = 2;
+  const obs::Json encoded = svc::count_options_to_json(options);
+  EXPECT_EQ(encoded.find("mode"), nullptr);
+  EXPECT_EQ(svc::count_options_from_json(encoded).execution.outer_copies, 2);
+  sched::BatchOptions batch_options;
+  const obs::Json batch_encoded = svc::batch_options_to_json(batch_options);
+  EXPECT_EQ(batch_encoded.find("mode"), nullptr);
+  EXPECT_EQ(svc::batch_options_from_json(batch_encoded).outer_copies, 0);
+}
+
+TEST(SvcService, LegacyJournalWithModeReplays) {
+  // A run_batch accept record exactly as protocol 2 journaled it.
+  constexpr const char* kLegacyBatchRequest =
+      R"({"op":"run_batch","graph":"g","priority":"batch",)"
+      R"("preemptible":true,"request_id":"legacy-batch","jobs":[)"
+      R"({"template":{"k":5,"edges":[[0,1],[1,2],[2,3],[3,4]]},)"
+      R"("iterations":4,"max_iterations":1000}],"options":{"colors":0,)"
+      R"("seed":11,"table":"compact","partition":"one","mode":"outer",)"
+      R"("threads":2,"cross_template_reuse":true,"min_iterations":4,)"
+      R"("round_iterations":0}})";
+  const std::string journal = temp_dir("legacy_mode_journal") + "/jobs.fjrn";
+  {
+    svc::Journal writer = svc::Journal::open_truncate(journal);
+    writer.append(svc::JournalKind::kGraph, 0,
+                  R"({"name":"g","dataset":"enron","scale":0.05,"seed":1})");
+    writer.append(svc::JournalKind::kAccepted, 1, kLegacyBatchRequest);
+  }
+  std::vector<sched::BatchJob> jobs = {{catalog_entry("U5-1").tree, 4}};
+  sched::BatchOptions direct;
+  direct.seed = 11;
+  direct.outer_copies = 0;
+  direct.num_threads = 2;
+  const sched::BatchResult expected =
+      sched::run_batch(load_or_make("enron", "", 0.05, 1), jobs, direct);
+
+  svc::Service::Config config;
+  config.journal_path = journal;
+  svc::Service service(config);
+  EXPECT_GE(service.health().journal_replays, 1u);
+  svc::JobSpec again;
+  again.kind = svc::JobKind::kBatch;
+  again.graph = "g";
+  again.batch_jobs = jobs;
+  again.batch_options = direct;
+  again.request_id = "legacy-batch";
+  const svc::JobId id = service.submit(std::move(again));
+  ASSERT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+  const sched::BatchResult replayed = service.batch_result(id);
+  ASSERT_EQ(replayed.jobs.size(), 1u);
+  EXPECT_EQ(replayed.jobs[0].per_iteration, expected.jobs[0].per_iteration);
+  EXPECT_EQ(replayed.layout.outer_copies, 2);
+  EXPECT_EQ(replayed.layout.inner_threads, 1);
 }
 
 }  // namespace
